@@ -4,13 +4,14 @@
 
 Builds nothing: the package is imported from ``src/`` of the checkout this
 file sits in, and the benchmark exits with status 2 when that is missing.
-It sets up the workload, runs whole request cycles until ``--seconds`` have
-passed, checks every request against its oracle, writes a
+It sets up the workload, runs whole request cycles, at least two, until
+``--seconds`` have passed, checks every request against its oracle, writes a
 results file under ``perfbench/results/`` and prints, as the last line of
 stdout, ``{"correct", "attempted", "failed", "metrics"}``.  With ``--trace 0``
 the metrics are the end-to-end ones; with ``--trace 1`` the run is split
 into an untraced half and a traced repeat of the same requests, and the
-metrics are the per-layer ones.  A readable summary goes to stderr.
+metrics are the per-layer ones (boundaries the workload does not cross are
+timed on other workloads' cheapest requests).  A readable summary goes to stderr.
 """
 
 from __future__ import annotations
@@ -118,10 +119,12 @@ def setup_probe(args):
 
 
 def run_loop(workload, ctx, cycle_iter, seconds, tracer):
-    """Closed loop over whole cycles, until ``seconds`` have passed.
+    """Closed loop over whole cycles, at least two, until ``seconds`` have passed.
 
     Whole cycles keep the request mix, and so the percentiles, the same in
-    every run; the last cycle may run over.
+    every run; the last cycle may run over.  Two cycles at least keep the
+    sample count from halving when a slow machine stretches one long cycle
+    past ``seconds``.
     """
     done, ran = [], []
     start = time.perf_counter()
@@ -132,7 +135,7 @@ def run_loop(workload, ctx, cycle_iter, seconds, tracer):
                 outcome = workload.execute(req, ctx, tracer)
             done.append((req, outcome))
         ran.append(cycle)
-        if time.perf_counter() - start >= seconds:
+        if len(ran) >= 2 and time.perf_counter() - start >= seconds:
             break
     return done, ran, time.perf_counter() - start
 
@@ -177,28 +180,46 @@ def end_to_end(workload, ctx, done, wall, setup_samples):
     return values, notes, tail_pct
 
 
-def per_layer(spans_list, overhead_ratio):
+def per_layer(spans_list, probe_spans, overhead_ratio):
+    """Per-layer metrics; boundaries absent from ``spans_list`` come from the probe."""
     agg = spans.aggregate(spans_list)
-    values = {}
+    probe = spans.aggregate(probe_spans)
+    values, probed = {}, set()
     for metric, _, span, count in PER_LAYER:
         entry = agg.get(span)
         if entry is None:
-            values[metric] = 0.0   # the workload does not call this boundary
-        elif count is None:
+            entry = probe[span]
+            probed.add(metric)
+        if count is None:
             values[metric] = entry["self_s"] / entry["calls"]
         else:
             values[metric] = entry["counts"].get(count, 0) / entry["calls"]
-    newton = agg.get("lg_model.newton", {"counts": {}})["counts"]
-    values["lg_model.root_yield"] = (
-        newton["roots"] / newton["starts"] if newton.get("starts") else 0.0
-    )
+    newton = (agg.get("lg_model.newton") or probe["lg_model.newton"])["counts"]
+    values["lg_model.root_yield"] = newton["roots"] / newton["starts"]
     values["trace.overhead_ratio"] = overhead_ratio
     layers = {}
     for name, entry in agg.items():
         if "." in name:
             layer = name.split(".")[0]
             layers[layer] = layers.get(layer, 0.0) + entry["self_s"]
-    return values, agg, layers
+    return values, agg, layers, sorted(probed)
+
+
+def probe_other_layers(workload, seed, tracer):
+    """The other workloads' probe requests, traced into ``tracer``."""
+    done = []
+    for name, wanted in workloads.PROBES.items():
+        other = workloads.WORKLOADS[name]
+        if other is workload:
+            continue
+        requests = [r for r in next(workloads.cycles(other, seed)) if wanted(r)]
+        ctx = other.setup(tracer)
+        ran, _, _ = run_loop(other, ctx, iter([requests]), 0.0, tracer)
+        other.finish(ctx, ran, tracer)
+        done += ran
+    if workload is not workloads.CLI_DESK:
+        probe_cli(tracer)
+    return done
 
 
 def environment(args):
@@ -265,8 +286,11 @@ def main(argv=None):
                                    spans.NullTracer())
         done_all = done
     workload.finish(ctx, done_all, tracer)
-    if args.trace and workload is workloads.CLI_DESK:
-        probe_cli(tracer)
+    if args.trace:
+        if workload is workloads.CLI_DESK:
+            probe_cli(tracer)
+        probe = spans.Tracer()
+        done_all = done_all + probe_other_layers(workload, args.seed, probe)
 
     e2e, notes, tail_pct = end_to_end(workload, ctx, done, wall, setup_samples)
     tally = {s: sum(o.status == s for _, o in done_all)
@@ -292,9 +316,11 @@ def main(argv=None):
         "verdict_tail_percentile": tail_pct,
     }
     if args.trace:
-        layer_values, agg, layers = per_layer(tracer.spans, traced_wall / wall)
-        result.update(per_layer=layer_values, span_totals=agg,
-                      layer_self_s=layers, spans=tracer.spans)
+        layer_values, agg, layers, probed = per_layer(tracer.spans, probe.spans,
+                                                      traced_wall / wall)
+        result.update(per_layer=layer_values, probed_metrics=probed,
+                      span_totals=agg, layer_self_s=layers, spans=tracer.spans,
+                      probe_spans=probe.spans)
         metrics = {m: {"value": layer_values[m], "unit": u}
                    for m, u, _, _ in PER_LAYER}
         metrics.update({m: {"value": layer_values[m], "unit": u} for m, u in DERIVED})

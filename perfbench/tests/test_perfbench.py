@@ -90,6 +90,20 @@ def test_self_time_subtracts_the_union_of_children():
     assert spans.self_times(tree) == {0: 6.0, 1: 2.0, 2: 1.0, 3: 1.0}
 
 
+def test_boundaries_a_workload_does_not_cross_come_from_the_probe():
+    main, probe = spans.Tracer(), spans.Tracer()
+    main.add("toric_core.build", 0.0, 2.0)
+    for name in {span for _, _, span, _ in run.PER_LAYER}:
+        probe.add(name, 0.0, 1.0, roots=3, starts=150)
+    values, _, _, probed = run.per_layer(main.spans, probe.spans, 1.1)
+    assert values["toric_core.build_s"] == 2.0
+    assert "toric_core.build_s" not in probed
+    assert all(values[m] == 1.0 for m, unit, _, _ in run.PER_LAYER
+               if unit == "s" and m != "toric_core.build_s")
+    assert values["lg_model.root_yield"] == 0.02
+    assert len(probed) == len(run.PER_LAYER) - 1
+
+
 def test_tail_has_ten_samples_beyond_it():
     value, percentile = run.tail([float(i) for i in range(100)])
     assert value == 89.0 and percentile == 90.0

@@ -639,3 +639,12 @@ def _error_type(report):
 CLI_DESK = CliDesk()
 
 WORKLOADS = {w.name: w for w in (CLI_DESK, EXACT_SERIES, NEWTON_LADDER, QUOTIENT_LADDER)}
+
+# The cheapest requests of each workload that still cross all of its layer
+# boundaries.  A traced run times a boundary its own workload does not cross
+# on these, so that every per-layer metric is measured on every workload.
+PROBES = {
+    "cli-desk": lambda r: r.input == "P2" and r.params[0][0] in ("info", "tropical"),
+    "exact-series": lambda r: r.input == "P2",
+    "newton-ladder": lambda r: r.input == "P2",
+}
