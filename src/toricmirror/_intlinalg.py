@@ -1,7 +1,10 @@
-"""Exact integer linear algebra for the small dense matrices used here.
+"""Exact linear algebra for the small dense matrices used here.
 
-Matrices are lists of row lists of Python ints; everything in this package
-is desk scale (dimensions at most ~10), so clarity beats asymptotics.
+Integer matrices (lists of row lists of Python ints) get unimodular column
+and row reductions; rational systems get one Fraction reduced-row-echelon
+routine, ``rref``, behind inverse, solve and unimodular inverse.  Apart from
+the Macaulay matrices of the quotient model everything is desk scale
+(dimensions at most ~10), so clarity beats asymptotics.
 """
 
 from fractions import Fraction
@@ -206,25 +209,67 @@ def det(mat):
     return sign * a[n - 1][n - 1] if n else 1
 
 
+def rref(rows, ncols):
+    """In-place reduced row echelon form over Fraction; returns pivot cols.
+
+    Only the first ``ncols`` columns are searched for pivots; row operations
+    act on whole rows, so trailing columns carry an augmented block along.
+    """
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((k for k in range(r, len(rows)) if rows[k][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        scale = rows[r][col]
+        if scale != 1:
+            rows[r] = [v / scale for v in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][col]:
+                f = rows[k][col]
+                rows[k] = [v - f * w for v, w in zip(rows[k], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def _reduce_augmented(mat, extra):
+    """Block ``extra`` of the row-reduced [mat | extra] for square ``mat``.
+
+    Returns None when ``mat`` is singular, i.e. has fewer than n pivots.
+    """
+    n = len(mat)
+    rows = [[Fraction(v) for v in mat[r]] + [Fraction(v) for v in extra[r]]
+            for r in range(n)]
+    if len(rref(rows, n)) < n:
+        return None
+    return [row[n:] for row in rows]
+
+
+def inverse(mat):
+    """Exact rational inverse of a square matrix, or None if it is singular."""
+    n = len(mat)
+    return _reduce_augmented(
+        mat, [[1 if c == r else 0 for c in range(n)] for r in range(n)]
+    )
+
+
+def solve(mat, rhs):
+    """The unique rational x with mat @ x == rhs, or None if mat is singular."""
+    reduced = _reduce_augmented(mat, [[v] for v in rhs])
+    return None if reduced is None else [row[0] for row in reduced]
+
+
 def unimodular_inverse(mat):
     """Exact integer inverse of a square matrix with determinant +-1.
 
-    Returns None when the determinant is not a unit.
+    Returns None when the determinant is not a unit, which for an integer
+    matrix is exactly when its rational inverse is missing or not integral.
     """
-    n = len(mat)
-    if det(mat) not in (1, -1):
+    inv = inverse(mat)
+    if inv is None or any(v.denominator != 1 for row in inv for v in row):
         return None
-    aug = [[Fraction(mat[r][c]) for c in range(n)] +
-           [Fraction(1 if c == r else 0) for c in range(n)] for r in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [v / scale for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    inv = [[aug[r][n + c] for c in range(n)] for r in range(n)]
-    assert all(v.denominator == 1 for row in inv for v in row)
     return [[int(v) for v in row] for row in inv]

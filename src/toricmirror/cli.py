@@ -141,6 +141,12 @@ def _parse_point(text, n):
     return vals
 
 
+def _parse_kmax(kmax):
+    if kmax < 0:
+        raise ParseError(f"--kmax must be nonnegative, got {kmax}")
+    return kmax
+
+
 def _check(name, passed, details):
     return {"name": name, "status": "pass" if passed else "fail", "details": details}
 
@@ -201,14 +207,14 @@ def _cmd_superpotential(data, args):
 
 
 def _cmd_phi(data, args):
-    series = disc_algebra.disc_series(data, args.kmax)
+    series = disc_algebra.disc_series(data, _parse_kmax(args.kmax))
     adm = disc_algebra.to_admissible(series, data)
     details = {"series": series.to_json(), "admissible": adm.to_json()}
     return [_check("disc-series", True, details)], []
 
 
 def _cmd_check_prop21(data, args):
-    series = disc_algebra.disc_series(data, args.kmax)
+    series = disc_algebra.disc_series(data, _parse_kmax(args.kmax))
     checks = []
     for a in range(data.l):
         lhs = disc_algebra.q_log_derivative(series, a, data)
@@ -226,7 +232,7 @@ def _cmd_check_prop21(data, args):
 
 def _cmd_check_thm32(data, args):
     checks = []
-    for order in range(args.kmax + 1):
+    for order in range(_parse_kmax(args.kmax) + 1):
         series = disc_algebra.disc_series(data, order)
         lhs = syz_transform.transform(disc_algebra.to_admissible(series, data))
         rhs = syz_transform.exp_superpotential(data, order)

@@ -1,27 +1,67 @@
 """Exact convolution algebra of disc-counting generating functions.
 
-Three sparse containers make up this layer:
+Every sparse "exponent tuple -> coefficient" map of the package is a
+``SparseTerms`` subclass sharing one merge (``add_into``) and one
+exponent-adding product (``product``):
 
 * ``QLaurent`` -- Laurent polynomials in the Kahler parameters q_1..q_l with
   rational coefficients; the common coefficient ring.
-* ``DiscSeries`` -- rationals indexed by disc classes k in Z^d_{>=0}, cut off
-  by total degree.  The disc-count series stores 1/(k_1! ... k_d!) at class k.
 * ``AdmissibleFunction`` -- finitely supported maps from lattice boundary
   classes v in Z^n to QLaurent coefficients; the value at a fiber point is
   f_v(q) e^{-<x,v>}, so the lattice convolution of coefficients is the
   product on this space.
+* ``ZLaurent`` (syz_transform) and ``DivisorPolynomial`` (quantum_ring) --
+  the same maps keyed by mirror exponents and divisor exponents.
+
+``DiscSeries`` -- rationals indexed by disc classes k in Z^d_{>=0}, cut off by
+total degree -- stores 1/(k_1! ... k_d!) at class k.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 from .errors import IndexOutOfRange
 
 
-class QLaurent:
-    """Sparse exact Laurent polynomial in the Kahler parameters."""
+def add_into(out, pairs):
+    """Accumulate (key, coefficient) pairs into the plain dict ``out``.
+
+    Keys whose sum cancels are dropped.  Coefficients are combined with
+    ``+`` into new objects, never mutated, so a coefficient stored here may
+    be shared with other maps.  Returns ``out``.
+    """
+    for key, c in pairs:
+        acc = out.get(key)
+        if acc is None:
+            out[key] = c
+        else:
+            new = acc + c
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+    return out
+
+
+def product(p, q):
+    """Exponent-adding product of two plain term dicts."""
+    return add_into({}, (
+        (tuple(map(add, e1, e2)), c1 * c2)
+        for e1, c1 in p.items()
+        for e2, c2 in q.items()
+    ))
+
+
+class SparseTerms:
+    """Finitely supported map from integer exponent tuples to coefficients.
+
+    ``terms`` is a plain dict without zero coefficients.  Subclasses differ
+    only in how input coefficients are coerced, which keys they accept, and
+    how they evaluate and serialize.
+    """
 
     __slots__ = ("terms",)
 
@@ -29,16 +69,73 @@ class QLaurent:
         self.terms = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
+            pairs = []
             for exps, coeff in items:
-                coeff = Fraction(coeff)
-                if not coeff:
-                    continue
-                key = tuple(int(e) for e in exps)
-                new = self.terms.get(key, 0) + coeff
-                if new:
-                    self.terms[key] = new
-                else:
-                    self.terms.pop(key, None)
+                coeff = self._coerce(coeff)
+                if coeff:
+                    pairs.append((self._key(exps), coeff))
+            add_into(self.terms, pairs)
+
+    @staticmethod
+    def _coerce(coeff):
+        return coeff
+
+    @staticmethod
+    def _key(exps):
+        return tuple(int(e) for e in exps)
+
+    @staticmethod
+    def _zero():
+        return QLaurent()
+
+    @classmethod
+    def _wrap(cls, terms):
+        """Instance over an already normalized term dict, without copying."""
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __add__(self, other):
+        return self._wrap(add_into(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return self._wrap({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        """Product with a map of the same type; otherwise scaling."""
+        if type(other) is type(self):
+            return self._wrap(product(self.terms, other.terms))
+        return self.scale(other)
+
+    __rmul__ = __mul__
+
+    def scale(self, factor):
+        if not factor:
+            return self._wrap({})
+        return self._wrap({e: c * factor for e, c in self.terms.items()})
+
+    def coefficient(self, exps):
+        return self.terms.get(tuple(exps), self._zero())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.terms!r})"
+
+
+class QLaurent(SparseTerms):
+    """Sparse exact Laurent polynomial in the Kahler parameters."""
+
+    __slots__ = ()
+    _coerce = staticmethod(Fraction)
+    _zero = staticmethod(Fraction)
 
     @classmethod
     def monomial(cls, exps, coeff=1):
@@ -48,56 +145,8 @@ class QLaurent:
     def constant(cls, coeff, nvars):
         return cls({(0,) * nvars: Fraction(coeff)})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, QLaurent) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            new = out.get(e, 0) + c
-            if new:
-                out[e] = new
-            else:
-                out.pop(e, None)
-        res = QLaurent()
-        res.terms = out
-        return res
-
-    def __neg__(self):
-        res = QLaurent()
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                new = out.get(key, 0) + c1 * c2
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-        res = QLaurent()
-        res.terms = out
-        return res
-
-    __rmul__ = __mul__
-
     def scale(self, factor):
-        factor = Fraction(factor)
-        res = QLaurent()
-        if factor:
-            res.terms = {e: c * factor for e, c in self.terms.items()}
-        return res
+        return super().scale(Fraction(factor))
 
     def evaluate(self, qvals):
         """Float value at positive numeric parameters."""
@@ -124,70 +173,29 @@ class QLaurent:
             for e, c in sorted(self.terms.items())
         ]
 
-    def __repr__(self):
-        return f"QLaurent({self.terms!r})"
+
+def flat_json(terms, key_name):
+    """One JSON row per (key exponents, q-exponents) pair of QLaurent terms."""
+    return [
+        {key_name: list(k), **entry}
+        for k, c in sorted(terms.items())
+        for entry in c.to_json()
+    ]
 
 
-class AdmissibleFunction:
-    """Finitely supported boundary-class coefficients of a fiberwise function."""
+class AdmissibleFunction(SparseTerms):
+    """Finitely supported boundary-class coefficients of a fiberwise function.
 
-    __slots__ = ("terms",)
+    The product of two admissible functions is their lattice convolution.
+    """
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for v, coeff in items:
-                if not coeff:
-                    continue
-                key = tuple(int(c) for c in v)
-                acc = self.terms.get(key)
-                merged = coeff if acc is None else acc + coeff
-                if merged:
-                    self.terms[key] = merged
-                else:
-                    self.terms.pop(key, None)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, AdmissibleFunction) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for v, c in other.terms.items():
-            merged = out.get(v, QLaurent()) + c
-            if merged:
-                out[v] = merged
-            else:
-                out.pop(v, None)
-        res = AdmissibleFunction()
-        res.terms = out
-        return res
-
-    def scale(self, factor):
-        res = AdmissibleFunction()
-        for v, c in self.terms.items():
-            scaled = c.scale(factor) if isinstance(factor, (int, Fraction)) else c * factor
-            if scaled:
-                res.terms[v] = scaled
-        return res
-
-    def coefficient(self, v):
-        return self.terms.get(tuple(v), QLaurent())
-
-    def support(self):
-        return sorted(self.terms)
+    __slots__ = ()
 
     def to_json(self):
         return [
             {"boundary_class": list(v), "coefficient": c.to_json()}
             for v, c in sorted(self.terms.items())
         ]
-
-    def __repr__(self):
-        return f"AdmissibleFunction({self.terms!r})"
 
 
 def unit(data):
@@ -221,16 +229,7 @@ def divisor_power(data, i, k):
 
 def convolve(f, g):
     """Lattice convolution (f*g)_v = sum_{v1+v2=v} f_{v1} g_{v2}."""
-    out = AdmissibleFunction()
-    for v1, c1 in f.terms.items():
-        for v2, c2 in g.terms.items():
-            key = tuple(a + b for a, b in zip(v1, v2))
-            merged = out.terms.get(key, QLaurent()) + c1 * c2
-            if merged:
-                out.terms[key] = merged
-            else:
-                out.terms.pop(key, None)
-    return out
+    return f * g
 
 
 def iter_disc_classes(d, max_total):
@@ -285,13 +284,9 @@ class DiscSeries:
 
     def add(self, other, scale=1):
         scale = Fraction(scale)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            new = out.get(k, 0) + scale * c
-            if new:
-                out[k] = new
-            else:
-                out.pop(k, None)
+        out = add_into(dict(self.terms), (
+            (k, scale * c) for k, c in other.terms.items()
+        ))
         return DiscSeries(out, max(self.truncation_order, other.truncation_order))
 
     def scaled(self, factor):
@@ -346,16 +341,11 @@ def q_monomial_exponents(data, k):
 
 def to_admissible(series, data):
     """Group disc classes by boundary class, summing exact q-coefficients."""
-    out = AdmissibleFunction()
-    for k, c in series.terms.items():
-        v = boundary_class(data, k)
-        mono = QLaurent.monomial(q_monomial_exponents(data, k), c)
-        merged = out.terms.get(v, QLaurent()) + mono
-        if merged:
-            out.terms[v] = merged
-        else:
-            out.terms.pop(v, None)
-    return out
+    return AdmissibleFunction._wrap(add_into({}, (
+        (boundary_class(data, k),
+         QLaurent.monomial(q_monomial_exponents(data, k), c))
+        for k, c in series.terms.items()
+    )))
 
 
 def q_log_derivative(series, a, data):

@@ -2,12 +2,15 @@
 
 The ring is presented on divisor generators D_1..D_d by the n linear
 relations sum_i v_i^j D_i and by quantum deformations of the monomial
-relations.  For products of projective spaces the quantum relations are
-computed (one per factor); the blowup example ships as a built-in
-presentation.  A finite-dimensional quotient model is built by exact
-rational Macaulay-matrix reduction at rational q, and multiplication
-spectra on that model are compared with point evaluations at the critical
-points of the superpotential.
+relations.  ``DivisorPolynomial`` is the shared sparse container keyed by
+divisor exponents; ``substitute_divisors`` maps it to the mirror by the
+disc-class relabeling D^m -> e^{lambda.m} z^{v.m}.  For products of
+projective spaces the quantum relations are computed (one per factor); the
+blowup example ships as a built-in presentation.  A finite-dimensional
+quotient model is built at rational q by eliminating the linear relations
+and row-reducing the Macaulay matrix of the quantum ones, both with
+``_intlinalg.rref``, and multiplication spectra on that model are compared
+with point evaluations at the critical points of the superpotential.
 """
 
 from __future__ import annotations
@@ -18,7 +21,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .disc_algebra import QLaurent, iter_disc_classes
+from . import _intlinalg as ila
+from .disc_algebra import (
+    QLaurent,
+    SparseTerms,
+    add_into,
+    boundary_class,
+    flat_json,
+    iter_disc_classes,
+    product,
+    q_monomial_exponents,
+)
 from .errors import (
     ClassNotReducible,
     DimensionUnstable,
@@ -37,57 +50,25 @@ from .syz_transform import ZLaurent
 from .toric_core import vertex_count_reference
 
 
-class DivisorPolynomial:
+class DivisorPolynomial(SparseTerms):
     """Sparse polynomial in the divisor generators with QLaurent coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for m, coeff in items:
-                if not coeff:
-                    continue
-                key = tuple(int(e) for e in m)
-                if any(e < 0 for e in key):
-                    raise ValueError("divisor exponents must be nonnegative")
-                acc = self.terms.get(key)
-                merged = coeff if acc is None else acc + coeff
-                if merged:
-                    self.terms[key] = merged
-                else:
-                    self.terms.pop(key, None)
+    @staticmethod
+    def _key(exps):
+        key = tuple(int(e) for e in exps)
+        if any(e < 0 for e in key):
+            raise ValueError("divisor exponents must be nonnegative")
+        return key
 
     @classmethod
     def variable(cls, d, i, l):
         m = tuple(1 if j == i else 0 for j in range(d))
         return cls({m: QLaurent.constant(1, l)})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, DivisorPolynomial) and self.terms == other.terms
-
-    def degree(self):
-        return max((sum(m) for m in self.terms), default=0)
-
     def to_json(self):
-        out = []
-        for m, c in sorted(self.terms.items()):
-            for entry in c.to_json():
-                out.append(
-                    {
-                        "divisor_exponents": list(m),
-                        "q_exponents": entry["q_exponents"],
-                        "coefficient": entry["coefficient"],
-                    }
-                )
-        return out
-
-    def __repr__(self):
-        return f"DivisorPolynomial({self.terms!r})"
+        return flat_json(self.terms, "divisor_exponents")
 
 
 def linear_ideal(data):
@@ -241,49 +222,14 @@ def builtin_presentation(name):
 
 def substitute_divisors(p, data):
     """Image of a divisor polynomial under D_i -> e^{lambda_i} z^{v_i}."""
-    out = ZLaurent()
-    for m, coeff in p.terms.items():
-        w = tuple(
-            sum(m[i] * data.rays[i][j] for i in range(data.d))
-            for j in range(data.n)
-        )
-        e = tuple(
-            sum(m[i] * data.lambda_exponents[i][a] for i in range(data.d))
-            for a in range(data.l)
-        )
-        term = coeff * QLaurent.monomial(e)
-        merged = out.terms.get(w, QLaurent()) + term
-        if merged:
-            out.terms[w] = merged
-        else:
-            out.terms.pop(w, None)
-    return out
+    return ZLaurent._wrap(add_into({}, (
+        (boundary_class(data, m),
+         coeff * QLaurent.monomial(q_monomial_exponents(data, m)))
+        for m, coeff in p.terms.items()
+    )))
 
 
 # --- exact quotient model --------------------------------------------------
-
-def _poly_add(p, q, scale=Fraction(1)):
-    out = dict(p)
-    for m, c in q.items():
-        new = out.get(m, 0) + scale * c
-        if new:
-            out[m] = new
-        else:
-            out.pop(m, None)
-    return out
-
-def _poly_mul(p, q):
-    out = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            key = tuple(a + b for a, b in zip(m1, m2))
-            new = out.get(key, 0) + c1 * c2
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return out
-
 
 def _graded_monomials(nvars, cap):
     return sorted(iter_disc_classes(nvars, cap), key=lambda m: (sum(m), m))
@@ -333,8 +279,8 @@ class QuotientModel:
                         if v
                     }
                 for _ in range(power):
-                    acc = _poly_mul(acc, form)
-            out = _poly_add(out, acc)
+                    acc = product(acc, form)
+            add_into(out, acc.items())
         return out
 
     def normal_form(self, poly):
@@ -348,9 +294,9 @@ class QuotientModel:
                 )
             row = self._pivot_rows.get(m)
             if row is None:
-                out = _poly_add(out, {m: c})
+                add_into(out, ((m, c),))
             else:
-                out = _poly_add(out, row, -c)
+                add_into(out, ((k, -c * v) for k, v in row.items()))
         return out
 
     def multiplication_matrix(self, p):
@@ -359,35 +305,12 @@ class QuotientModel:
         index = {m: r for r, m in enumerate(self.basis)}
         mat = [[Fraction(0)] * self.dim for _ in range(self.dim)]
         for col, b in enumerate(self.basis):
-            nf = self.normal_form(_poly_mul(reduced, {b: Fraction(1)}))
+            nf = self.normal_form(product(reduced, {b: Fraction(1)}))
             for m, c in nf.items():
                 if m not in index:
                     raise ClassNotReducible("normal form left the basis span")
                 mat[index[m]][col] = c
         return mat
-
-
-def _rref(rows, ncols):
-    """In-place reduced row echelon form over Fraction; returns pivot cols."""
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((k for k in range(r, len(rows)) if rows[k][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        scale = rows[r][col]
-        if scale != 1:
-            rows[r] = [v / scale for v in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][col]:
-                f = rows[k][col]
-                rows[k] = [v - f * w for v, w in zip(rows[k], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
 
 
 def _macaulay_reduction(gens, nvars, cap):
@@ -400,12 +323,12 @@ def _macaulay_reduction(gens, nvars, cap):
     for g in gens:
         gdeg = max(sum(m) for m in g)
         for mult in iter_disc_classes(nvars, cap - gdeg):
-            prod = _poly_mul({tuple(mult): Fraction(1)}, g)
+            prod = product({tuple(mult): Fraction(1)}, g)
             row = [Fraction(0)] * len(order)
             for m, c in prod.items():
                 row[col_of[m]] = c
             rows.append(row)
-    pivot_cols = _rref(rows, len(order))
+    pivot_cols = ila.rref(rows, len(order))
     pivot_rows = {}
     for r, col in enumerate(pivot_cols):
         rest = {}
@@ -431,7 +354,7 @@ def _linear_substitution(linear_gens, d):
             vmat[j][m.index(1)] = entries[0][1]
     for pivots in itertools.combinations(range(d), n):
         sub = [[vmat[r][c] for c in pivots] for r in range(n)]
-        inv = _fraction_inverse(sub)
+        inv = ila.inverse(sub)
         if inv is None:
             continue
         free = tuple(i for i in range(d) if i not in pivots)
@@ -444,24 +367,6 @@ def _linear_substitution(linear_gens, d):
             }
         return free, substitution
     raise ValueError("linear relations do not have full rank")
-
-
-def _fraction_inverse(mat):
-    n = len(mat)
-    aug = [list(mat[r]) + [Fraction(1 if c == r else 0) for c in range(n)]
-           for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [v / scale for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def quotient_model(pres, q_rational, degree_cap=None):

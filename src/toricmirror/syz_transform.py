@@ -1,10 +1,12 @@
 """Fiberwise Fourier correspondence between the two sides of the mirror.
 
 On coefficients the correspondence is a relabeling: the boundary-class
-coefficient f_v becomes the coefficient of the mirror monomial z^v.  All of
-the content is in the algebra laws it transports -- lattice convolution on
-one side becomes the product of Laurent objects on the other -- and in the
-truncated identity checked by ``exp_superpotential``.
+coefficient f_v becomes the coefficient of the mirror monomial z^v.  Both
+sides are ``SparseTerms`` maps over the same exponent tuples, so
+``transform`` and ``inverse_transform`` only change the type, and the algebra
+law they transport -- lattice convolution on one side, the product of
+Laurent objects on the other -- is the one shared ``product``.  The content
+is in the truncated identity checked by ``exp_superpotential``.
 """
 
 from __future__ import annotations
@@ -14,83 +16,24 @@ from fractions import Fraction
 from .disc_algebra import (
     AdmissibleFunction,
     QLaurent,
+    SparseTerms,
+    add_into,
     class_weight,
     boundary_class,
+    flat_json,
     iter_disc_classes,
     q_monomial_exponents,
 )
 
 
-class ZLaurent:
+class ZLaurent(SparseTerms):
     """Sparse Laurent object in the mirror coordinates z_1..z_n.
 
     Coefficients are QLaurent, so a term is (z-exponent, q-exponent, rational)
     and exact equality is equality of every such term.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for w, coeff in items:
-                if not coeff:
-                    continue
-                key = tuple(int(c) for c in w)
-                acc = self.terms.get(key)
-                merged = coeff if acc is None else acc + coeff
-                if merged:
-                    self.terms[key] = merged
-                else:
-                    self.terms.pop(key, None)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, ZLaurent) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            merged = out.get(w, QLaurent()) + c
-            if merged:
-                out[w] = merged
-            else:
-                out.pop(w, None)
-        res = ZLaurent()
-        res.terms = out
-        return res
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        out = ZLaurent()
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(w1, w2))
-                merged = out.terms.get(key, QLaurent()) + c1 * c2
-                if merged:
-                    out.terms[key] = merged
-                else:
-                    out.terms.pop(key, None)
-        return out
-
-    def scale(self, factor):
-        res = ZLaurent()
-        for w, c in self.terms.items():
-            scaled = c.scale(factor) if isinstance(factor, (int, Fraction)) else c * factor
-            if scaled:
-                res.terms[w] = scaled
-        return res
-
-    def coefficient(self, w):
-        return self.terms.get(tuple(w), QLaurent())
-
-    def support(self):
-        return sorted(self.terms)
+    __slots__ = ()
 
     def evaluate(self, z, qvals):
         """Complex value at nonzero mirror coordinates and numeric q."""
@@ -103,30 +46,17 @@ class ZLaurent:
         return total
 
     def to_json(self):
-        out = []
-        for w, c in sorted(self.terms.items()):
-            for entry in c.to_json():
-                out.append(
-                    {
-                        "z_exponents": list(w),
-                        "q_exponents": entry["q_exponents"],
-                        "coefficient": entry["coefficient"],
-                    }
-                )
-        return out
-
-    def __repr__(self):
-        return f"ZLaurent({self.terms!r})"
+        return flat_json(self.terms, "z_exponents")
 
 
 def transform(f: AdmissibleFunction) -> ZLaurent:
     """Fourier series of a finitely supported function: f_v -> z^v term."""
-    return ZLaurent({v: c for v, c in f.terms.items()})
+    return ZLaurent._wrap(dict(f.terms))
 
 
 def inverse_transform(phi: ZLaurent) -> AdmissibleFunction:
     """Fourier coefficients of a Laurent object: z^w term -> value at v = w."""
-    return AdmissibleFunction({w: c for w, c in phi.terms.items()})
+    return AdmissibleFunction._wrap(dict(phi.terms))
 
 
 def exp_superpotential(data, max_total):
@@ -140,12 +70,8 @@ def exp_superpotential(data, max_total):
     """
     if max_total < 0:
         raise ValueError("truncation order must be nonnegative")
-    out = ZLaurent()
-    for k in iter_disc_classes(data.d, max_total):
-        w = boundary_class(data, k)
-        mono = QLaurent.monomial(
-            q_monomial_exponents(data, k), Fraction(1, class_weight(k))
-        )
-        merged = out.terms.get(w, QLaurent()) + mono
-        out.terms[w] = merged
-    return out
+    return ZLaurent._wrap(add_into({}, (
+        (boundary_class(data, k),
+         QLaurent.monomial(q_monomial_exponents(data, k), Fraction(1, class_weight(k))))
+        for k in iter_disc_classes(data.d, max_total)
+    )))

@@ -253,9 +253,8 @@ def polytope_vertices(data, lambda_numeric):
         raise DegeneratePolytope(f"need {d} facet constants")
     vertices = set()
     for subset in itertools.combinations(range(d), n):
-        sol = _solve_fraction_system(
-            [[Fraction(data.rays[i][j]) for j in range(n)] for i in subset],
-            [lam[i] for i in subset],
+        sol = ila.solve(
+            [data.rays[i] for i in subset], [lam[i] for i in subset]
         )
         if sol is None:
             continue
@@ -276,23 +275,6 @@ def polytope_vertices(data, lambda_numeric):
     if not strict:
         raise DegeneratePolytope("polytope has empty interior")
     return tuple(sorted(vertices))
-
-
-def _solve_fraction_system(mat, rhs):
-    n = len(mat)
-    aug = [list(mat[r]) + [rhs[r]] for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [v / scale for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
 
 
 def vertex_count_reference(data):

@@ -121,6 +121,17 @@ def test_unknown_fixture_is_error():
     assert json.loads(out)["error"]["type"] == "UnknownFixture"
 
 
+@pytest.mark.parametrize("command", ["phi", "check-prop21", "check-thm32"])
+def test_negative_kmax_is_parse_error(command):
+    code, out, err = run_cli([command, "P2", "--kmax", "-1"])
+    assert code == 1
+    report = json.loads(out)
+    assert "checks" not in report
+    assert report["error"]["type"] == "ParseError"
+    assert report["parameters"]["kmax"] == -1
+    assert "ParseError" in err
+
+
 def test_file_input_roundtrip(tmp_path):
     doc = {
         "name": "blowup",

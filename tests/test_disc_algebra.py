@@ -8,7 +8,7 @@ import toricmirror as tm
 from toricmirror import disc_algebra as da
 from toricmirror.errors import IndexOutOfRange
 
-from helpers import FIXTURE_NAMES, data_for, random_admissible
+from helpers import FIXTURE_NAMES, data_for, random_admissible, random_qlaurent
 
 
 def qmono(*exps):
@@ -34,6 +34,47 @@ def test_qlaurent_product_and_negative_exponents():
 def test_qlaurent_json_is_sorted():
     p = da.QLaurent({(2,): Fraction(1, 8), (0,): 1, (1,): 1})
     assert [e["q_exponents"] for e in p.to_json()] == [[0], [1], [2]]
+
+
+SPARSE_CLASSES = (tm.QLaurent, tm.AdmissibleFunction, tm.ZLaurent, tm.DivisorPolynomial)
+
+
+@pytest.mark.parametrize("cls", SPARSE_CLASSES, ids=lambda c: c.__name__)
+def test_sparse_containers_share_merge_and_product(cls):
+    rng = random.Random(cls.__name__)
+    low = 0 if cls is tm.DivisorPolynomial else -2
+
+    def coeff():
+        if cls is tm.QLaurent:
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        return random_qlaurent(rng, 2)
+
+    def rand():
+        return cls([
+            (tuple(rng.randint(low, 2) for _ in range(3)), coeff())
+            for _ in range(rng.randint(1, 6))
+        ])
+
+    key, a, b = (1, 0, 2), coeff(), coeff()
+    assert cls([(key, a), (key, b)]).terms == ({key: a + b} if a + b else {})
+    assert cls([(key, a), (key, -a)]).terms == {}
+    for _ in range(20):
+        p, q = rand(), rand()
+        diff = p - p
+        assert not diff and diff.terms == {}
+        naive = {}
+        for e1, c1 in p.terms.items():
+            for e2, c2 in q.terms.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                naive[e] = naive[e] + c1 * c2 if e in naive else c1 * c2
+        pq = p * q
+        assert type(pq) is cls and type(pq.terms) is dict
+        assert pq.terms == {e: c for e, c in naive.items() if c}
+    t = {(i, 0, 1): coeff() for i in range(3)}
+    assert cls(t).terms == t and cls(t) != t
+    for other in SPARSE_CLASSES:
+        if other is not cls and (other is tm.QLaurent) == (cls is tm.QLaurent):
+            assert cls(t) != other(t)
 
 
 # --- facet functions and unit ------------------------------------------------

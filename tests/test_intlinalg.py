@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 from toricmirror import _intlinalg as ila
 
@@ -86,3 +87,38 @@ def test_det_and_unimodular_inverse():
     inv = ila.unimodular_inverse(m)
     assert inv == [[1, 1], [0, 1]]
     assert ila.unimodular_inverse([[2, 0], [0, 1]]) is None
+
+
+def test_rational_inverse_random():
+    rng = random.Random(11)
+    checked = 0
+    while checked < 30:
+        n = rng.randint(1, 5)
+        mat = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+               for _ in range(n)]
+        inv = ila.inverse(mat)
+        if inv is None:
+            continue
+        assert all(
+            sum(inv[r][k] * mat[k][c] for k in range(n)) == (1 if r == c else 0)
+            for r in range(n) for c in range(n)
+        )
+        rhs = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
+        sol = ila.solve(mat, rhs)
+        assert [sum(mat[r][k] * sol[k] for k in range(n)) for r in range(n)] == rhs
+        checked += 1
+
+
+def test_singular_matrix_has_no_inverse_or_solution():
+    mat = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    assert ila.inverse(mat) is None
+    assert ila.solve(mat, [1, 2, 0]) is None
+    assert ila.unimodular_inverse(mat) is None
+
+
+def test_rref_pivot_columns_of_rank_deficient_matrix():
+    # rank 2: row 3 = row 1 + row 2, and column 1 = 2 * column 0
+    rows = [[Fraction(v) for v in row] for row in
+            ([1, 2, 0, 1], [0, 0, 1, 1], [1, 2, 1, 2])]
+    assert ila.rref(rows, 4) == [0, 2]
+    assert rows == [[1, 2, 0, 1], [0, 0, 1, 1], [0, 0, 0, 0]]
