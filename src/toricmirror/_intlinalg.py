@@ -2,9 +2,9 @@
 
 Integer matrices (lists of row lists of Python ints) get unimodular column
 and row reductions; rational systems get one Fraction reduced-row-echelon
-routine, ``rref``, behind inverse, solve and unimodular inverse.  Apart from
-the Macaulay matrices of the quotient model everything is desk scale
-(dimensions at most ~10), so clarity beats asymptotics.
+routine, ``rref``, behind inverse, solve and unimodular inverse.  Every
+matrix here is desk scale (dimensions at most ~10), so clarity beats
+asymptotics.
 """
 
 from fractions import Fraction

@@ -231,11 +231,23 @@ def _cmd_check_prop21(data, args):
 
 
 def _cmd_check_thm32(data, args):
+    kmax = _parse_kmax(args.kmax)
+    layers = [{} for _ in range(kmax + 1)]
+    for k, c in disc_algebra.disc_series(data, kmax).terms.items():
+        layers[sum(k)][k] = c
+    w = lg_model.superpotential(data).terms
+    one = disc_algebra.QLaurent.constant(1, data.l)
+    # per order, add that degree's disc classes on the left, W^order/order! on the right
+    lhs = syz_transform.ZLaurent()
+    power = rhs = syz_transform.ZLaurent({(0,) * data.n: one})
     checks = []
-    for order in range(_parse_kmax(args.kmax) + 1):
-        series = disc_algebra.disc_series(data, order)
-        lhs = syz_transform.transform(disc_algebra.to_admissible(series, data))
-        rhs = syz_transform.exp_superpotential(data, order)
+    for order in range(kmax + 1):
+        if order:
+            power = (power * w).scale(Fraction(1, order))
+            rhs = rhs + power
+        lhs = lhs + syz_transform.transform(disc_algebra.to_admissible(
+            disc_algebra.DiscSeries(layers[order], order), data
+        ))
         checks.append(
             _check(
                 f"transform-equals-exp-superpotential-k{order}",
@@ -314,17 +326,13 @@ def _cmd_verify_iso(data, args):
     solver = _solver_config(args, vertex_count_reference(data))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = quantum_ring.verify_isomorphism(
-            data, pres, q, degree_cap=args.degree_cap, solver=solver
-        )
+        report = quantum_ring.verify_isomorphism(data, pres, q, solver=solver)
         degenerate = any(isinstance(w.message, DegenerateSpectrum) for w in caught)
     if defaulted and degenerate:
         q = [Fraction(GENERIC_Q[a % len(GENERIC_Q)]) for a in range(data.l)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateSpectrum)
-            report = quantum_ring.verify_isomorphism(
-                data, pres, q, degree_cap=args.degree_cap, solver=solver
-            )
+            report = quantum_ring.verify_isomorphism(data, pres, q, solver=solver)
     checks = []
     for c in report.checks:
         details = dict(c.details)
@@ -412,7 +420,7 @@ _HANDLERS = {
 def _parameters(args):
     out = {}
     for key in ("kmax", "q", "seed", "starts", "max_iter", "tol", "dedup_tol",
-                "degree_cap", "factor", "xi", "svg"):
+                "factor", "xi", "svg"):
         if hasattr(args, key) and getattr(args, key) is not None:
             out[key] = getattr(args, key)
     return out
@@ -473,7 +481,6 @@ def build_parser():
     p.add_argument("--max-iter", type=int, default=80, dest="max_iter")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--dedup-tol", type=float, default=1e-6, dest="dedup_tol")
-    p.add_argument("--degree-cap", type=int, dest="degree_cap")
     p = add("tropical", "count marked single-vertex curves per product factor")
     p.add_argument("--factor", type=int, help="1-based factor index (default: all)")
     p.add_argument("--xi", help="comma-separated rational vertex coordinates")

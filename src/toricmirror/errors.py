@@ -64,7 +64,7 @@ class UnknownExample(ToricMirrorError):
 
 
 class DimensionUnstable(ToricMirrorError):
-    """Quotient dimension did not stabilize across consecutive degree caps."""
+    """The quotient is certified positive-dimensional by its Groebner basis."""
 
 
 class EmptyQuotient(ToricMirrorError):
@@ -72,7 +72,7 @@ class EmptyQuotient(ToricMirrorError):
 
 
 class ClassNotReducible(ToricMirrorError):
-    """A ring class cannot be reduced within the model's degree cap."""
+    """A ring class does not reduce into the span of the quotient basis."""
 
 
 # --- front end -----------------------------------------------------------

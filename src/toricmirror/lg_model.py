@@ -4,7 +4,8 @@ The superpotential is the d-term Laurent object sum_i e^{lambda_i} z^{v_i}.
 Critical points of its logarithmic derivatives are found by multistart
 Newton iteration in logarithmic coordinates u (z = exp(u)), which keeps
 iterates off the coordinate hyperplanes and makes deduplication well defined
-modulo 2*pi in each imaginary part.
+modulo 2*pi in each imaginary part.  All starts iterate together as one
+S x n batch with one batched linear solve per step.
 """
 
 from __future__ import annotations
@@ -124,59 +125,77 @@ class CriticalPointSet:
         return len(self.points)
 
 
-def _wrapped_distance(u1, u2):
-    dre = np.max(np.abs(u1.real - u2.real))
-    dim_raw = np.abs(u1.imag - u2.imag) % (2 * np.pi)
-    dim = np.max(np.minimum(dim_raw, 2 * np.pi - dim_raw))
-    return max(dre, dim)
+def _wrapped_distances(us, u):
+    """Largest coordinate gap from each row of ``us`` to ``u``, modulo 2*pi i."""
+    dre = np.abs(us.real - u.real)
+    dim = np.abs(us.imag - u.imag) % (2 * np.pi)
+    return np.max(np.maximum(dre, np.minimum(dim, 2 * np.pi - dim)), axis=-1)
+
+
+def _newton(rays, coeffs, u, config):
+    """Iterate the S x n starts ``u`` in place, as one batch; mask of converged.
+
+    A start fails when its exponents blow up, its residual stops being finite,
+    its Jacobian is singular or it has not converged after ``max_iter`` steps.
+    """
+    n = rays.shape[1]
+    outer = (rays[:, :, None] * rays[:, None, :]).reshape(len(rays), n * n)
+    active = np.arange(len(u))
+    done = np.zeros(len(u), dtype=bool)
+    for _ in range(config.max_iter):
+        if not active.size:
+            break
+        expo = u[active] @ rays.T                         # (S, d)
+        live = np.max(expo.real, axis=1) <= 50.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = coeffs * np.exp(expo)
+            f = t @ rays                                  # (S, n)
+        live &= np.all(np.isfinite(f), axis=1)
+        conv = live & (np.max(np.abs(f), axis=1) < config.tol)
+        done[active[conv]] = True
+        keep = live & ~conv
+        jac = (t[keep] @ outer).reshape(-1, n, n)          # (S, n, n)
+        try:
+            step = np.linalg.solve(jac, -f[keep, :, None])
+        except np.linalg.LinAlgError:
+            regular = np.linalg.slogdet(jac)[0] != 0
+            keep[keep] = regular
+            step = np.linalg.solve(jac[regular], -f[keep, :, None])
+        del jac  # hold one Jacobian batch at a time
+        active = active[keep]
+        u[active] += step[..., 0]
+    return done
 
 
 def critical_points(w: Superpotential, q_numeric, config: SolverConfig):
     """Multistart Newton search for all roots of z_j dW/dz_j = 0.
 
-    Deterministic for a fixed seed: starts are drawn in order and roots are
-    deduplicated and sorted canonically.  Raises IncompleteRootSet unless
-    exactly ``expected_count`` distinct roots are found.
+    All starts are drawn as one array and iterated as one batch.  Roots are
+    deduplicated in draw order and sorted canonically, so the result is
+    deterministic for a fixed seed.  Raises IncompleteRootSet unless exactly
+    ``expected_count`` distinct roots are found.
     """
     data = w.data
-    n, d = data.n, data.d
+    n = data.n
     rays = np.array(data.rays, dtype=float)          # (d, n)
     coeffs = np.array(w.coefficients(q_numeric))     # (d,)
     rng = np.random.default_rng(config.seed)
+    shape = (config.start_count(), n)
+    u = rng.uniform(-3.0, 3.0, shape) + 1j * rng.uniform(0.0, 2 * np.pi, shape)
+    converged = u[_newton(rays, coeffs, u, config)]
+    failed = len(u) - len(converged)
+    converged.imag %= 2 * np.pi
 
     roots = []
-    failed = 0
-    for _ in range(config.start_count()):
-        u = rng.uniform(-3.0, 3.0, n) + 1j * rng.uniform(0.0, 2 * np.pi, n)
-        ok = False
-        for _ in range(config.max_iter):
-            expo = rays @ u
-            if np.max(expo.real) > 50.0:
-                break
-            t = coeffs * np.exp(expo)                # (d,)
-            f = rays.T @ t                           # (n,)
-            if not np.all(np.isfinite(f)):
-                break
-            if np.max(np.abs(f)) < config.tol:
-                ok = True
-                break
-            jac = rays.T @ (t[:, None] * rays)       # (n, n)
-            try:
-                step = np.linalg.solve(jac, -f)
-            except np.linalg.LinAlgError:
-                break
-            u = u + step
-        if not ok:
-            failed += 1
-            continue
-        u = u.real + 1j * (u.imag % (2 * np.pi))
-        if all(_wrapped_distance(u, r) >= config.dedup_tol for r in roots):
-            roots.append(u)
+    while len(converged):
+        roots.append(converged[0])
+        far = _wrapped_distances(converged, converged[0]) >= config.dedup_tol
+        converged = converged[far]
 
     if len(roots) != config.expected_count:
         raise IncompleteRootSet(
             f"found {len(roots)} distinct critical points, expected "
-            f"{config.expected_count} ({failed} of {config.start_count()} "
+            f"{config.expected_count} ({failed} of {len(u)} "
             f"starts failed to converge)"
         )
 
@@ -192,13 +211,13 @@ def critical_points(w: Superpotential, q_numeric, config: SolverConfig):
         + tuple(x for zj in rec[1] for x in (zj.real, zj.imag))
     )
 
-    for a in range(len(roots)):
-        for b in range(a + 1, len(roots)):
-            if _wrapped_distance(records[a][4], records[b][4]) < 10 * config.dedup_tol:
-                warnings.warn(
-                    "two critical points nearly coincide; spectra may be degenerate",
-                    DegenerateSpectrum,
-                )
+    logs = np.array([rec[4] for rec in records]).reshape(len(records), n)
+    near = _wrapped_distances(logs[:, None], logs[None]) < 10 * config.dedup_tol
+    if np.count_nonzero(near) > np.count_nonzero(np.diag(near)):
+        warnings.warn(
+            "two critical points nearly coincide; spectra may be degenerate",
+            DegenerateSpectrum,
+        )
 
     return CriticalPointSet(
         points=tuple(rec[1] for rec in records),

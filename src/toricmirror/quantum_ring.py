@@ -7,17 +7,19 @@ divisor exponents; ``substitute_divisors`` maps it to the mirror by the
 disc-class relabeling D^m -> e^{lambda.m} z^{v.m}.  For products of
 projective spaces the quantum relations are computed (one per factor); the
 blowup example ships as a built-in presentation.  A finite-dimensional
-quotient model is built at rational q by eliminating the linear relations
-and row-reducing the Macaulay matrix of the quantum ones, both with
-``_intlinalg.rref``, and multiplication spectra on that model are compared
-with point evaluations at the critical points of the superpotential.
+quotient model is built at exact rational q by eliminating the linear
+relations and computing a reduced Groebner basis of the quantum ones, and
+multiplication spectra on that model are compared with point evaluations at
+the critical points of the superpotential.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .disc_algebra import (
     add_into,
     boundary_class,
     flat_json,
-    iter_disc_classes,
     product,
     q_monomial_exponents,
 )
@@ -231,26 +232,86 @@ def substitute_divisors(p, data):
 
 # --- exact quotient model --------------------------------------------------
 
-def _graded_monomials(nvars, cap):
-    return sorted(iter_disc_classes(nvars, cap), key=lambda m: (sum(m), m))
+def _grevlex(m):
+    """Sort key of the graded reverse lexicographic monomial order."""
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _monic(p):
+    """Plain dict -> (leading monomial, tail divided by the leading coefficient)."""
+    lead = max(p, key=_grevlex)
+    return lead, {m: v / p[lead] for m, v in p.items() if m != lead}
+
+
+def _remainder(p, basis):
+    """Remainder of the plain dict p on division by monic (lead, tail) pairs."""
+    p, out = dict(p), {}
+    while p:
+        m = max(p, key=_grevlex)
+        c = p.pop(m)
+        for a, tail in basis:
+            if _divides(a, m):
+                add_into(p, product({tuple(map(sub, m, a)): -c}, tail).items())
+                break
+        else:
+            out[m] = c
+    return out
+
+
+def groebner_basis(gens):
+    """Reduced grevlex Groebner basis, as monic (lead, tail) pairs, leads ascending.
+
+    Buchberger's algorithm on plain dicts: the pair with the smallest lcm goes
+    first, and pairs with coprime leads are skipped (product criterion).
+    """
+    basis, pairs = [], []
+
+    def insert(p):
+        lead, tail = _monic(p)
+        for i, (a, _) in enumerate(basis):
+            lcm = tuple(map(max, a, lead))
+            if lcm != tuple(map(add, a, lead)):
+                heapq.heappush(pairs, (_grevlex(lcm), i, len(basis), lcm))
+        basis.append((lead, tail))
+
+    for g in filter(None, gens):
+        insert(g)
+    while pairs:
+        _, i, j, lcm = heapq.heappop(pairs)
+        (a, ta), (b, tb) = basis[i], basis[j]
+        spoly = add_into(
+            product({tuple(map(sub, lcm, a)): Fraction(1)}, ta),
+            product({tuple(map(sub, lcm, b)): Fraction(-1)}, tb).items(),
+        )
+        rem = _remainder(spoly, basis)
+        if rem:
+            insert(rem)
+    minimal = []
+    for lead, tail in sorted(basis, key=lambda g: _grevlex(g[0])):
+        if not any(_divides(a, lead) for a, _ in minimal):
+            minimal.append((lead, tail))
+    return [(lead, _remainder(tail, minimal)) for lead, tail in minimal]
 
 
 class QuotientModel:
     """Finite-dimensional model of the quotient by linear + quantum relations.
 
-    Built by eliminating the linear relations exactly and row-reducing the
-    Macaulay matrix of the quantum relations at exact rational q.  The basis
+    Built by eliminating the linear relations exactly and computing a reduced
+    grevlex Groebner basis of the quantum ones at exact rational q.  The basis
     is the set of standard monomials in the remaining l divisor variables.
     """
 
-    def __init__(self, basis, free_indices, substitution, pivot_rows,
-                 qvals, degree_cap, l):
+    def __init__(self, basis, free_indices, substitution, groebner, qvals, l):
         self.basis = basis                  # ascending graded monomials
         self.free_indices = free_indices    # ray indices kept as variables
         self.substitution = substitution    # pivot ray index -> {free pos: Fraction}
-        self._pivot_rows = pivot_rows       # pivot monomial -> {nonpivot mono: Fraction}
+        self.groebner = groebner            # reduced basis, monic (lead, tail) pairs
         self.qvals = qvals
-        self.degree_cap = degree_cap        # reductions valid through this degree
+        self.degree_cap = max((sum(a) for a, _ in groebner), default=0)
         self.l = l
 
     @property
@@ -285,19 +346,7 @@ class QuotientModel:
 
     def normal_form(self, poly):
         """Reduce a free-variable polynomial to its basis representative."""
-        out = {}
-        for m, c in poly.items():
-            if sum(m) > self.degree_cap:
-                raise ClassNotReducible(
-                    f"monomial of degree {sum(m)} exceeds the degree cap "
-                    f"{self.degree_cap}"
-                )
-            row = self._pivot_rows.get(m)
-            if row is None:
-                add_into(out, ((m, c),))
-            else:
-                add_into(out, ((k, -c * v) for k, v in row.items()))
-        return out
+        return _remainder(poly, self.groebner)
 
     def multiplication_matrix(self, p):
         """Exact matrix of multiplication by p on the quotient basis."""
@@ -311,33 +360,6 @@ class QuotientModel:
                     raise ClassNotReducible("normal form left the basis span")
                 mat[index[m]][col] = c
         return mat
-
-
-def _macaulay_reduction(gens, nvars, cap):
-    """Pivot rows and standard monomials of the degree-<=cap Macaulay slice."""
-    monomials = _graded_monomials(nvars, cap)
-    # column order: largest monomial first, so pivots are leading monomials
-    order = list(reversed(monomials))
-    col_of = {m: c for c, m in enumerate(order)}
-    rows = []
-    for g in gens:
-        gdeg = max(sum(m) for m in g)
-        for mult in iter_disc_classes(nvars, cap - gdeg):
-            prod = product({tuple(mult): Fraction(1)}, g)
-            row = [Fraction(0)] * len(order)
-            for m, c in prod.items():
-                row[col_of[m]] = c
-            rows.append(row)
-    pivot_cols = ila.rref(rows, len(order))
-    pivot_rows = {}
-    for r, col in enumerate(pivot_cols):
-        rest = {}
-        for c2 in range(col + 1, len(order)):
-            if rows[r][c2]:
-                rest[order[c2]] = rows[r][c2]
-        pivot_rows[order[col]] = rest
-    basis = [m for m in monomials if m not in pivot_rows]
-    return pivot_rows, basis
 
 
 def _linear_substitution(linear_gens, d):
@@ -369,44 +391,36 @@ def _linear_substitution(linear_gens, d):
     raise ValueError("linear relations do not have full rank")
 
 
-def quotient_model(pres, q_rational, degree_cap=None):
+def quotient_model(pres, q_rational):
     """Build the finite-dimensional quotient model at exact rational q.
 
-    The dimension must agree between consecutive degree caps; on a mismatch
-    the cap is doubled once before giving up with DimensionUnstable.
+    Certified by the Groebner basis: a constant in it raises EmptyQuotient, a
+    variable without a pure-power leading monomial raises DimensionUnstable.
     """
     qvals = tuple(Fraction(x) for x in q_rational)
     free, substitution = _linear_substitution(pres.linear_gens, pres.d)
     l = len(free)
-    eliminator = QuotientModel((), free, substitution, {}, qvals, 0, l)
-    gens = []
-    for g in pres.quantum_gens:
-        reduced = eliminator.reduce_divisor_poly(g)
-        if reduced:
-            gens.append(reduced)
-    # with no surviving relations the standard monomials grow without bound
-    # and the stability loop below reports that honestly
-    max_gdeg = max((max(sum(m) for m in g) for g in gens), default=0)
-    cap = degree_cap if degree_cap is not None else len(pres.linear_gens) + 2
-    cap = max(cap, max_gdeg)
-    for attempt in (cap, 2 * cap):
-        _, basis_small = _macaulay_reduction(gens, l, attempt)
-        pivot_rows, basis_big = _macaulay_reduction(gens, l, attempt + 1)
-        if basis_big == basis_small:
-            if not basis_small:
-                raise EmptyQuotient("quotient ring is zero at this q")
-            return QuotientModel(
-                basis=tuple(basis_small),
-                free_indices=free,
-                substitution=substitution,
-                pivot_rows=pivot_rows,
-                qvals=qvals,
-                degree_cap=attempt + 1,
-                l=l,
-            )
-    raise DimensionUnstable(
-        f"standard monomials do not stabilize by degree cap {2 * cap}"
+    eliminator = QuotientModel((), free, substitution, (), qvals, l)
+    groebner = groebner_basis(
+        eliminator.reduce_divisor_poly(g) for g in pres.quantum_gens
     )
+    leads = [lead for lead, _ in groebner]
+    if leads and not any(leads[0]):  # the ascending basis starts at 1
+        raise EmptyQuotient("quotient ring is zero at this q")
+    for s in range(l):
+        if not any(lead[s] and sum(lead) == lead[s] for lead in leads):
+            raise DimensionUnstable("quotient is positive-dimensional: no leading "
+                                    f"monomial is a pure power of free variable {s}")
+    # the standard monomials form an order ideal, finite by the check above
+    standard, frontier = set(), [(0,) * l]
+    while frontier:
+        m = frontier.pop()
+        if m in standard or any(_divides(lead, m) for lead in leads):
+            continue
+        standard.add(m)
+        frontier.extend(tuple(e + (s == t) for t, e in enumerate(m)) for s in range(l))
+    basis = tuple(sorted(standard, key=lambda m: (sum(m), m)))
+    return QuotientModel(basis, free, substitution, tuple(groebner), qvals, l)
 
 
 def multiplication_spectrum(model, p):
@@ -452,8 +466,8 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-def verify_isomorphism(data, pres, q_numeric, seed=0, degree_cap=None,
-                       solver=None, spectral_tol=1e-6, ideal_tol=1e-8):
+def verify_isomorphism(data, pres, q_numeric, seed=0, solver=None,
+                       spectral_tol=1e-6, ideal_tol=1e-8):
     """Three-part consistency check between the ring model and the mirror.
 
     (a) the linear generators map exactly onto the logarithmic derivatives of
@@ -481,7 +495,7 @@ def verify_isomorphism(data, pres, q_numeric, seed=0, degree_cap=None,
         )
     )
 
-    model = quotient_model(pres, qfr, degree_cap)
+    model = quotient_model(pres, qfr)
     expected = vertex_count_reference(data)
     if solver is None:
         solver = SolverConfig(expected_count=expected, seed=seed)

@@ -31,6 +31,18 @@ def solve(name, q, seed=0):
     return _SOLVES[key]
 
 
+def product_data(dims):
+    """Toric data of P^{m_1} x ... x P^{m_k} built from its rays."""
+    total = sum(dims)
+    rays, offset = [], 0
+    for m in dims:
+        for j in range(m):
+            rays.append(tuple(1 if c == offset + j else 0 for c in range(total)))
+        rays.append(tuple(-1 if offset <= c < offset + m else 0 for c in range(total)))
+        offset += m
+    return tm.build_toric_data(rays)
+
+
 def croots(m, value):
     """All complex m-th roots of a positive real number."""
     r = value ** (1.0 / m)

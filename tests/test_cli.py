@@ -207,6 +207,17 @@ def test_subprocess_reports_are_byte_identical():
     assert first.stdout == second.stdout
 
 
+def test_cli_import_leaves_sympy_out():
+    # sympy is a test oracle only; it must not ride along with the CLI import
+    import subprocess
+    import sys
+
+    code = "import sys, toricmirror.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_cli_verify_iso_largest_fixture():
     code, out, _ = run_cli(["verify-iso", "P2xP2", "--q", "1", "--seed", "0"])
     assert code == 0

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 import toricmirror as tm
@@ -11,7 +12,7 @@ from toricmirror.errors import (
     IncompleteRootSet,
     ZeroCoordinate,
 )
-from toricmirror.lg_model import SolverConfig, critical_points
+from toricmirror.lg_model import SolverConfig, _newton, critical_points
 from toricmirror.syz_transform import ZLaurent, inverse_transform
 
 from helpers import (
@@ -222,6 +223,72 @@ def test_near_collision_warns_degenerate_spectrum():
         critical_points(
             w, [1.0], SolverConfig(expected_count=3, seed=0, dedup_tol=0.25)
         )
+
+
+def test_blowup_and_singular_starts_fail_without_stopping_the_batch():
+    # W = z - 1/z: at u = 0 the Jacobian 1 - 1 vanishes exactly, at u = 60
+    # the exponent test fires, and the start at u = 0.3 keeps iterating
+    rays = np.array([[1.0], [-1.0]])
+    u = np.array([[0j], [60 + 0j], [0.3 + 0j]])
+    done = _newton(rays, np.array([1.0, -1.0]), u, SolverConfig(expected_count=2))
+    assert not done.any()
+    assert u[2, 0] != 0.3
+    # W = z + 1/z has the root u = 0, reached by the third start
+    u = np.array([[0.3 + 0.1j], [60 + 0j], [0.3 + 0j]])
+    done = _newton(rays, np.array([1.0, 1.0]), u, SolverConfig(expected_count=2))
+    assert done.tolist() == [True, False, True]
+    assert abs(u[0, 0]) < 1e-12 and abs(u[2, 0]) < 1e-12
+
+
+def _newton_one_start(rays, coeffs, u, config):
+    """Reference: Newton on one start, as a plain loop; (converged, iterate)."""
+    for _ in range(config.max_iter):
+        expo = rays @ u
+        if np.max(expo.real) > 50.0:
+            return False, u
+        t = coeffs * np.exp(expo)
+        f = rays.T @ t
+        if not np.all(np.isfinite(f)):
+            return False, u
+        if np.max(np.abs(f)) < config.tol:
+            return True, u
+        try:
+            u = u + np.linalg.solve(rays.T @ (t[:, None] * rays), -f)
+        except np.linalg.LinAlgError:
+            return False, u
+    return False, u
+
+
+@pytest.mark.parametrize("name", ("P2", "P1xP2", "P2xP2", "BlP2"))
+def test_batched_newton_matches_one_start_at_a_time(name):
+    data = data_for(name)
+    rays = np.array(data.rays, dtype=float)
+    coeffs = np.array(tm.superpotential(data).coefficients([0.6] * data.l))
+    rng = np.random.default_rng(7)
+    starts = rng.uniform(-3, 3, (200, data.n)) + 1j * rng.uniform(0, 6.3, (200, data.n))
+    cfg = SolverConfig(expected_count=1)
+    batch = starts.copy()
+    done = _newton(rays, coeffs, batch, cfg)
+    for k in range(len(starts)):
+        ok, u = _newton_one_start(rays, coeffs, starts[k], cfg)
+        assert ok == done[k]
+        if ok:
+            assert np.max(np.abs(u - batch[k])) < 1e-9
+
+
+@pytest.mark.parametrize("name", ("P2", "P2xP2", "BlP2"))
+def test_failed_starts_are_counted_out_of_the_draws(name):
+    data = data_for(name)
+    cfg = SolverConfig(expected_count=tm.vertex_count_reference(data), seed=5)
+    cps = critical_points(tm.superpotential(data), [0.6] * data.l, cfg)
+    assert 0 <= cps.failed_starts <= cfg.start_count()
+
+
+def test_every_start_failing_is_reported():
+    data = data_for("P2")
+    cfg = SolverConfig(expected_count=3, max_iter=1, seed=0)
+    with pytest.raises(IncompleteRootSet, match="150 of 150 starts failed"):
+        critical_points(tm.superpotential(data), [1.0], cfg)
 
 
 # --- evaluation at critical points -------------------------------------------

@@ -8,7 +8,6 @@ import toricmirror as tm
 from toricmirror import quantum_ring as qr
 from toricmirror.disc_algebra import QLaurent
 from toricmirror.errors import (
-    ClassNotReducible,
     DimensionUnstable,
     EmptyQuotient,
     NotAProduct,
@@ -16,7 +15,7 @@ from toricmirror.errors import (
 )
 from toricmirror.syz_transform import ZLaurent
 
-from helpers import croots, data_for, multiset_distance
+from helpers import croots, data_for, multiset_distance, product_data
 
 
 def dpoly(pairs, l):
@@ -270,12 +269,36 @@ def test_unit_ideal_gives_empty_quotient():
         qr.quotient_model(spiked, [Fraction(1)])
 
 
-def test_class_beyond_degree_cap_is_rejected():
+def test_high_power_class_reduces_exactly():
+    # D3^9 lies far above the relation D3^3 = q; at q = 1 it is the unit
+    # class, so multiplication by it has every eigenvalue 1
     data = data_for("P2")
     model = qr.quotient_model(qr.presentation_for(data), [Fraction(1)])
     big = dpoly([((0, 0, 9), 1)], 1)
-    with pytest.raises(ClassNotReducible):
-        qr.multiplication_spectrum(model, big)
+    assert model.normal_form(model.reduce_divisor_poly(big)) == {(0,): 1}
+    assert multiset_distance(qr.multiplication_spectrum(model, big), [1, 1, 1]) < 1e-12
+
+
+def test_variable_without_pure_power_is_positive_dimensional():
+    # D1^2 - D1*D3 on P1xP1 eliminates to x^2 - x*y: x has a pure-power
+    # leading monomial, y has none, so y^k is standard for every k
+    data = data_for("P1xP1")
+    pres = qr.presentation_for(data)
+    lopsided = qr.RingPresentation(
+        d=pres.d,
+        linear_gens=pres.linear_gens,
+        quantum_gens=(dpoly([((2, 0, 0, 0), 1), ((1, 0, 1, 0), -1)], 2),),
+        provenance="computed-product",
+    )
+    with pytest.raises(DimensionUnstable, match="pure power of free variable 1"):
+        qr.quotient_model(lopsided, [Fraction(1), Fraction(1)])
+
+
+def test_degree_cap_is_largest_leading_degree():
+    data = data_for("P2xP2")
+    model = qr.quotient_model(qr.presentation_for(data), [Fraction(7, 10)] * 2)
+    assert model.degree_cap == 3
+    assert sorted(lead for lead, _ in model.groebner) == [(0, 3), (3, 0)]
 
 
 # --- full verification -------------------------------------------------------
@@ -349,3 +372,21 @@ def test_spectrum_multiplicities_on_product_of_planes():
     )
     expected = [r for r in croots(3, 0.7) for _ in range(3)]
     assert multiset_distance(spec, expected) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "dims,q",
+    [
+        ((1, 1, 1, 1, 1), [Fraction(k, 9) for k in (7, 3, 5, 2, 8)]),
+        ((2, 2, 2, 2), [Fraction(k, 9) for k in (7, 3, 5, 2)]),
+    ],
+)
+def test_verify_isomorphism_at_scale(dims, q):
+    # out of reach of a degree-capped Macaulay elimination: 32 and 81 classes
+    data = product_data(dims)
+    report = qr.verify_isomorphism(data, qr.presentation_for(data), q, seed=1)
+    assert report.ok
+    expected = 1
+    for m in dims:
+        expected *= m + 1
+    assert report.dim == report.point_count == expected
