@@ -62,6 +62,11 @@ def jsonify(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _is_int(x):
+    # bool subclasses int, but JSON true and false are not integers
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_input(source):
     """Named fixture or JSON document path -> validated toric data."""
     if source in fixtures.REGISTRY:
@@ -85,7 +90,7 @@ def load_input(source):
         not isinstance(rays, list)
         or not rays
         or any(
-            not isinstance(v, list) or any(not isinstance(c, int) for c in v)
+            not isinstance(v, list) or any(not _is_int(c) for c in v)
             for v in rays
         )
     ):
@@ -96,13 +101,13 @@ def load_input(source):
         if field in doc:
             block = doc[field]
             if not isinstance(block, list) or any(
-                not isinstance(row, list) or any(not isinstance(c, int) for c in row)
+                not isinstance(row, list) or any(not _is_int(c) for c in row)
                 for row in block
             ):
                 raise ParseError(f"{source}: field {field!r} must be a list of integer lists")
     if "lambda_numeric" in doc and (
         not isinstance(doc["lambda_numeric"], list)
-        or any(not isinstance(x, (int, float)) for x in doc["lambda_numeric"])
+        or any(not (_is_int(x) or isinstance(x, float)) for x in doc["lambda_numeric"])
     ):
         raise ParseError(f"{source}: field 'lambda_numeric' must be a list of numbers")
     return build_toric_data(
@@ -246,7 +251,7 @@ def _cmd_check_thm32(data, args):
             power = (power * w).scale(Fraction(1, order))
             rhs = rhs + power
         lhs = lhs + syz_transform.transform(disc_algebra.to_admissible(
-            disc_algebra.DiscSeries(layers[order], order), data
+            disc_algebra.DiscSeries._wrap(layers[order]), data
         ))
         checks.append(
             _check(
@@ -259,6 +264,11 @@ def _cmd_check_thm32(data, args):
 
 
 def _solver_config(args, expected):
+    for flag in ("starts", "max_iter", "tol", "dedup_tol"):
+        value = getattr(args, flag)
+        if value is not None and not value > 0:
+            option = "--" + flag.replace("_", "-")
+            raise ParseError(f"{option} must be positive, got {value}")
     return lg_model.SolverConfig(
         expected_count=expected,
         starts=args.starts,

@@ -10,11 +10,12 @@ exponent-adding product (``product``):
   classes v in Z^n to QLaurent coefficients; the value at a fiber point is
   f_v(q) e^{-<x,v>}, so the lattice convolution of coefficients is the
   product on this space.
+* ``DiscSeries`` -- rationals indexed by disc classes k in Z^d_{>=0}; the
+  disc-count series stores 1/(k_1! ... k_d!) at every class up to a total
+  degree.  The product adds classes, so the log-derivative identity's
+  convolution with sum_i E_ia Psi_i is one product with {e_i: E_ia}.
 * ``ZLaurent`` (syz_transform) and ``DivisorPolynomial`` (quantum_ring) --
   the same maps keyed by mirror exponents and divisor exponents.
-
-``DiscSeries`` -- rationals indexed by disc classes k in Z^d_{>=0}, cut off by
-total degree -- stores 1/(k_1! ... k_d!) at class k.
 """
 
 from __future__ import annotations
@@ -53,6 +54,14 @@ def product(p, q):
         for e1, c1 in p.items()
         for e2, c2 in q.items()
     ))
+
+
+def nonnegative_key(exps):
+    """Exponent tuple of a map whose keys must lie in Z^d_{>=0}."""
+    key = tuple(int(e) for e in exps)
+    if any(e < 0 for e in key):
+        raise ValueError(f"exponents must be nonnegative, got {key}")
+    return key
 
 
 class SparseTerms:
@@ -119,6 +128,7 @@ class SparseTerms:
     __rmul__ = __mul__
 
     def scale(self, factor):
+        factor = self._coerce(factor)
         if not factor:
             return self._wrap({})
         return self._wrap({e: c * factor for e, c in self.terms.items()})
@@ -144,9 +154,6 @@ class QLaurent(SparseTerms):
     @classmethod
     def constant(cls, coeff, nvars):
         return cls({(0,) * nvars: Fraction(coeff)})
-
-    def scale(self, factor):
-        return super().scale(Fraction(factor))
 
     def evaluate(self, qvals):
         """Float value at positive numeric parameters."""
@@ -213,9 +220,7 @@ def divisor_function(data, i, power=1):
         raise IndexOutOfRange(f"no facet with index {i}")
     if power not in (1, -1):
         raise IndexOutOfRange("power must be +1 or -1")
-    v = tuple(power * c for c in data.rays[i])
-    exps = tuple(power * e for e in data.lambda_exponents[i])
-    return AdmissibleFunction({v: QLaurent.monomial(exps)})
+    return divisor_power(data, i, power)
 
 
 def divisor_power(data, i, k):
@@ -253,47 +258,26 @@ def class_weight(k):
     return w
 
 
-class DiscSeries:
-    """Rational coefficients on disc classes, cut off by total degree."""
+class DiscSeries(SparseTerms):
+    """Rational coefficients on disc classes k in Z^d_{>=0}.
 
-    __slots__ = ("terms", "truncation_order")
+    The product adds classes, so multiplying by {e_i: c} is convolution with
+    c times the facet-i function at disc-class level.
+    """
 
-    def __init__(self, terms, truncation_order):
-        self.truncation_order = int(truncation_order)
-        self.terms = {}
-        for k, c in (terms.items() if isinstance(terms, dict) else terms):
-            c = Fraction(c)
-            if not c:
-                continue
-            key = tuple(int(x) for x in k)
-            if any(x < 0 for x in key) or sum(key) > self.truncation_order:
-                raise ValueError(f"class {key} violates the truncation window")
-            self.terms[key] = c
+    __slots__ = ()
+    _coerce = staticmethod(Fraction)
+    _zero = staticmethod(Fraction)
+    _key = staticmethod(nonnegative_key)
 
-    def __eq__(self, other):
-        return isinstance(other, DiscSeries) and self.terms == other.terms
-
-    def coefficient(self, k):
-        return self.terms.get(tuple(k), Fraction(0))
+    @property
+    def truncation_order(self):
+        """Total degree of the highest class present (0 when empty)."""
+        return max(map(sum, self.terms), default=0)
 
     def restrict(self, max_total):
-        return DiscSeries(
-            {k: c for k, c in self.terms.items() if sum(k) <= max_total},
-            max_total,
-        )
-
-    def add(self, other, scale=1):
-        scale = Fraction(scale)
-        out = add_into(dict(self.terms), (
-            (k, scale * c) for k, c in other.terms.items()
-        ))
-        return DiscSeries(out, max(self.truncation_order, other.truncation_order))
-
-    def scaled(self, factor):
-        factor = Fraction(factor)
-        return DiscSeries(
-            {k: c * factor for k, c in self.terms.items()} if factor else {},
-            self.truncation_order,
+        return self._wrap(
+            {k: c for k, c in self.terms.items() if sum(k) <= max_total}
         )
 
     def to_json(self):
@@ -305,9 +289,6 @@ class DiscSeries:
             ],
         }
 
-    def __repr__(self):
-        return f"DiscSeries({len(self.terms)} classes, <= {self.truncation_order})"
-
 
 def disc_series(data, max_total):
     """Disc-count generating series through total degree ``max_total``.
@@ -318,9 +299,8 @@ def disc_series(data, max_total):
     """
     if max_total < 0:
         raise ValueError("truncation order must be nonnegative")
-    return DiscSeries(
-        {k: Fraction(1, class_weight(k)) for k in iter_disc_classes(data.d, max_total)},
-        max_total,
+    return DiscSeries._wrap(
+        {k: Fraction(1, class_weight(k)) for k in iter_disc_classes(data.d, max_total)}
     )
 
 
@@ -357,18 +337,7 @@ def q_log_derivative(series, a, data):
         weight = sum(k[i] * data.lambda_exponents[i][a] for i in range(data.d))
         if weight:
             out[k] = c * weight
-    return DiscSeries(out, series.truncation_order)
-
-
-def shift_by_ray(series, i, data):
-    """Classwise convolution with the facet-i function: k -> k + e_i."""
-    if not 0 <= i < data.d:
-        raise IndexOutOfRange(f"no facet with index {i}")
-    out = {}
-    for k, c in series.terms.items():
-        key = tuple(x + (1 if j == i else 0) for j, x in enumerate(k))
-        out[key] = c
-    return DiscSeries(out, series.truncation_order + 1)
+    return DiscSeries._wrap(out)
 
 
 def log_derivative_convolution(series, a, data):
@@ -381,9 +350,9 @@ def log_derivative_convolution(series, a, data):
     """
     if not 0 <= a < data.l:
         raise IndexOutOfRange(f"no Kahler parameter with index {a}")
-    out = DiscSeries({}, series.truncation_order + 1)
-    for i in range(data.d):
-        weight = data.lambda_exponents[i][a]
-        if weight:
-            out = out.add(shift_by_ray(series, i, data), weight)
-    return out
+    facets = DiscSeries._wrap({
+        tuple(int(j == i) for j in range(data.d)): Fraction(data.lambda_exponents[i][a])
+        for i in range(data.d)
+        if data.lambda_exponents[i][a]
+    })
+    return series * facets

@@ -188,9 +188,9 @@ def critical_points(w: Superpotential, q_numeric, config: SolverConfig):
 
     roots = []
     while len(converged):
-        roots.append(converged[0])
-        far = _wrapped_distances(converged, converged[0]) >= config.dedup_tol
-        converged = converged[far]
+        root, converged = converged[0], converged[1:]
+        roots.append(root)
+        converged = converged[_wrapped_distances(converged, root) >= config.dedup_tol]
 
     if len(roots) != config.expected_count:
         raise IncompleteRootSet(

@@ -7,16 +7,16 @@ divisor exponents; ``substitute_divisors`` maps it to the mirror by the
 disc-class relabeling D^m -> e^{lambda.m} z^{v.m}.  For products of
 projective spaces the quantum relations are computed (one per factor); the
 blowup example ships as a built-in presentation.  A finite-dimensional
-quotient model is built at exact rational q by eliminating the linear
-relations and computing a reduced Groebner basis of the quantum ones, and
-multiplication spectra on that model are compared with point evaluations at
-the critical points of the superpotential.
+quotient model is built at exact rational q: one row reduction of the linear
+relations writes every divisor variable as a linear form in the free ones,
+and a reduced Groebner basis of the quantum relations in those variables
+gives the standard monomials.  Multiplication spectra on that model are
+compared with point evaluations at the critical points of the superpotential.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
@@ -30,6 +30,7 @@ from .disc_algebra import (
     add_into,
     boundary_class,
     flat_json,
+    nonnegative_key,
     product,
     q_monomial_exponents,
 )
@@ -56,12 +57,7 @@ class DivisorPolynomial(SparseTerms):
 
     __slots__ = ()
 
-    @staticmethod
-    def _key(exps):
-        key = tuple(int(e) for e in exps)
-        if any(e < 0 for e in key):
-            raise ValueError("divisor exponents must be nonnegative")
-        return key
+    _key = staticmethod(nonnegative_key)
 
     @classmethod
     def variable(cls, d, i, l):
@@ -305,14 +301,14 @@ class QuotientModel:
     is the set of standard monomials in the remaining l divisor variables.
     """
 
-    def __init__(self, basis, free_indices, substitution, groebner, qvals, l):
+    def __init__(self, basis, free_indices, forms, groebner, qvals):
         self.basis = basis                  # ascending graded monomials
         self.free_indices = free_indices    # ray indices kept as variables
-        self.substitution = substitution    # pivot ray index -> {free pos: Fraction}
+        self.forms = forms                  # per ray, a linear form in the free variables
         self.groebner = groebner            # reduced basis, monic (lead, tail) pairs
         self.qvals = qvals
         self.degree_cap = max((sum(a) for a, _ in groebner), default=0)
-        self.l = l
+        self.l = len(free_indices)
 
     @property
     def dim(self):
@@ -320,29 +316,7 @@ class QuotientModel:
 
     def reduce_divisor_poly(self, p):
         """Divisor polynomial -> polynomial in the free variables at fixed q."""
-        nfree = len(self.free_indices)
-        pos = {ray: s for s, ray in enumerate(self.free_indices)}
-        out = {}
-        for m, coeff in p.terms.items():
-            c = coeff.evaluate_exact(self.qvals)
-            if not c:
-                continue
-            acc = {(0,) * nfree: c}
-            for ray, power in enumerate(m):
-                if not power:
-                    continue
-                if ray in pos:
-                    form = {tuple(1 if s == pos[ray] else 0 for s in range(nfree)): Fraction(1)}
-                else:
-                    form = {
-                        tuple(1 if s == t else 0 for s in range(nfree)): v
-                        for t, v in self.substitution[ray].items()
-                        if v
-                    }
-                for _ in range(power):
-                    acc = product(acc, form)
-            add_into(out, acc.items())
-        return out
+        return _eliminate(p, self.forms, self.qvals, self.l)
 
     def normal_form(self, poly):
         """Reduce a free-variable polynomial to its basis representative."""
@@ -363,9 +337,13 @@ class QuotientModel:
 
 
 def _linear_substitution(linear_gens, d):
-    """Solve the linear relations for a pivot set of divisor variables."""
-    n = len(linear_gens)
-    vmat = [[Fraction(0)] * d for _ in range(n)]
+    """Solve the linear relations for a pivot set of divisor variables.
+
+    One rref of the n x d relation matrix: its pivot columns are the
+    lexicographically first basis.  Returns the free ray indices and, per
+    ray, its linear form in the free variables as a plain term dict.
+    """
+    rows = [[Fraction(0)] * d for _ in linear_gens]
     for j, g in enumerate(linear_gens):
         for m, coeff in g.terms.items():
             if sum(m) != 1:
@@ -373,22 +351,34 @@ def _linear_substitution(linear_gens, d):
             entries = list(coeff.terms.items())
             if len(entries) != 1 or any(entries[0][0]):
                 raise ValueError("linear generators must have constant coefficients")
-            vmat[j][m.index(1)] = entries[0][1]
-    for pivots in itertools.combinations(range(d), n):
-        sub = [[vmat[r][c] for c in pivots] for r in range(n)]
-        inv = ila.inverse(sub)
-        if inv is None:
+            rows[j][m.index(1)] = entries[0][1]
+    pivots = ila.rref(rows, d)
+    if len(pivots) < len(rows):
+        raise ValueError("linear relations do not have full rank")
+    free = tuple(i for i in range(d) if i not in pivots)
+    units = [tuple(int(s == t) for t in range(len(free))) for s in range(len(free))]
+    forms = [None] * d
+    for s, ray in enumerate(free):
+        forms[ray] = {units[s]: Fraction(1)}
+    for row, ray in zip(rows, pivots):
+        # D_ray = -sum_s row[free[s]] D_free[s]
+        forms[ray] = {units[s]: -row[i] for s, i in enumerate(free) if row[i]}
+    return free, tuple(forms)
+
+
+def _eliminate(p, forms, qvals, l):
+    """Divisor polynomial -> plain dict in the l free variables at exact q."""
+    out = {}
+    for m, coeff in p.terms.items():
+        c = coeff.evaluate_exact(qvals)
+        if not c:
             continue
-        free = tuple(i for i in range(d) if i not in pivots)
-        substitution = {}
-        for r, ray in enumerate(pivots):
-            # D_ray = -sum_s (Vp^-1 Vf)[r][s] D_free[s]
-            substitution[ray] = {
-                s: -sum(inv[r][k] * vmat[k][free[s]] for k in range(n))
-                for s in range(len(free))
-            }
-        return free, substitution
-    raise ValueError("linear relations do not have full rank")
+        acc = {(0,) * l: c}
+        for ray, power in enumerate(m):
+            for _ in range(power):
+                acc = product(acc, forms[ray])
+        add_into(out, acc.items())
+    return out
 
 
 def quotient_model(pres, q_rational):
@@ -398,12 +388,9 @@ def quotient_model(pres, q_rational):
     variable without a pure-power leading monomial raises DimensionUnstable.
     """
     qvals = tuple(Fraction(x) for x in q_rational)
-    free, substitution = _linear_substitution(pres.linear_gens, pres.d)
+    free, forms = _linear_substitution(pres.linear_gens, pres.d)
     l = len(free)
-    eliminator = QuotientModel((), free, substitution, (), qvals, l)
-    groebner = groebner_basis(
-        eliminator.reduce_divisor_poly(g) for g in pres.quantum_gens
-    )
+    groebner = groebner_basis(_eliminate(g, forms, qvals, l) for g in pres.quantum_gens)
     leads = [lead for lead, _ in groebner]
     if leads and not any(leads[0]):  # the ascending basis starts at 1
         raise EmptyQuotient("quotient ring is zero at this q")
@@ -420,7 +407,7 @@ def quotient_model(pres, q_rational):
         standard.add(m)
         frontier.extend(tuple(e + (s == t) for t, e in enumerate(m)) for s in range(l))
     basis = tuple(sorted(standard, key=lambda m: (sum(m), m)))
-    return QuotientModel(basis, free, substitution, tuple(groebner), qvals, l)
+    return QuotientModel(basis, free, forms, tuple(groebner), qvals)
 
 
 def multiplication_spectrum(model, p):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -59,6 +60,31 @@ def test_phi_series_coefficients():
     classes = {tuple(e["k"]): e["coefficient"] for e in series["classes"]}
     assert classes[(3, 0, 0)] == "1/6"
     assert classes[(1, 1, 1)] == "1"
+
+
+# sha256 of the whole stdout of `phi <name> --kmax <k>`: the report,
+# truncation_order included, stays byte-identical
+PHI_DIGESTS = {
+    ("P2", 0): "bf96dbbfb6e3165505bb87925061a038af96062100a96570e5e322bc1502b307",
+    ("P2", 6): "99f3c2c8cefa4f2ce5568615331f057536b652c171e9ab477b138e706c6d0268",
+    ("P1xP1", 0): "f6a11271f2bc9c33e72c56287725acb53c4609fa556c6adb495618b8442ec141",
+    ("P1xP1", 6): "d306c3a8b867f00c614064a1bc4ed785a5688b8dcb2ef9d4d6bac5e4c1d0dd50",
+    ("P1xP2", 0): "a63f560095641e3e5d085e5f68ec020916398c2b900ce378e39bc9385d9cadad",
+    ("P1xP2", 6): "eeb7293c929316e8c651aa52b66bc56451deef6acf1dacfaa51e90e4a906ff77",
+    ("P2xP2", 0): "672083c2e10bc243e0b4c84eaa9ea18060004394e0162723daa3c2c21062ac61",
+    ("P2xP2", 6): "b3cab00bca68af4370761e549d1a344be8abb117a77ae7c8f1d46f117f49621a",
+    ("BlP2", 0): "8dbf6d9b16c17f43b9bc113074a283e284328d5c69d17fe18df12182cd764926",
+    ("BlP2", 6): "f8b1b97e23e91805f40d464943fb14585937b1b1b813d8e715bb99d7cb02ac15",
+}
+
+
+@pytest.mark.parametrize("name,kmax", sorted(PHI_DIGESTS))
+def test_phi_report_is_pinned(name, kmax):
+    code, out, _ = run_cli(["phi", name, "--kmax", str(kmax)])
+    assert code == 0
+    series = json.loads(out)["checks"][0]["details"]["series"]
+    assert series["truncation_order"] == kmax
+    assert hashlib.sha256(out.encode()).hexdigest() == PHI_DIGESTS[name, kmax]
 
 
 @pytest.mark.parametrize("name", ("P2", "P1xP1", "BlP2"))
@@ -165,6 +191,54 @@ def test_malformed_documents_are_parse_errors(tmp_path):
     code, out, _ = run_cli(["info", str(missing)])
     assert code != 0
     assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("rays", [[1, 0], [0, True], [-1, -1]]),
+    ("kbasis", [[1, 1, False]]),
+    ("lambda_monomials", [[0], [0], [True]]),
+    ("lambda_numeric", [0.0, False, -1.0]),
+])
+def test_json_booleans_are_not_numbers(tmp_path, field, value):
+    doc = {"n": 2, "rays": [[1, 0], [0, 1], [-1, -1]], field: value}
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["info", str(path)])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError" and repr(field) in error["message"]
+
+
+@pytest.mark.parametrize("command", ["critical-points", "verify-iso"])
+@pytest.mark.parametrize("option,value", [
+    ("--starts", "-5"), ("--starts", "0"), ("--max-iter", "0"),
+    ("--tol", "0"), ("--tol", "-1e-3"), ("--tol", "nan"),
+])
+def test_nonpositive_solver_options_are_parse_errors(command, option, value):
+    code, out, err = run_cli([command, "P2", f"{option}={value}"])
+    assert code == 1
+    report = json.loads(out)
+    assert "checks" not in report
+    assert report["error"]["type"] == "ParseError"
+    assert option in report["error"]["message"]
+    assert "ParseError" in err
+
+
+@pytest.mark.parametrize("command", ["critical-points", "verify-iso"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_dedup_tol_is_a_parse_error(command, value):
+    # in a child process, so that a regression to the old endless dedup loop
+    # fails on the timeout instead of hanging the suite
+    import subprocess
+    import sys
+
+    out = subprocess.run(
+        [sys.executable, "-m", "toricmirror", command, "P2", f"--dedup-tol={value}"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 1
+    error = json.loads(out.stdout)["error"]
+    assert error["type"] == "ParseError" and "--dedup-tol" in error["message"]
 
 
 def test_invalid_input_data_is_structured():

@@ -36,16 +36,18 @@ def test_qlaurent_json_is_sorted():
     assert [e["q_exponents"] for e in p.to_json()] == [[0], [1], [2]]
 
 
-SPARSE_CLASSES = (tm.QLaurent, tm.AdmissibleFunction, tm.ZLaurent, tm.DivisorPolynomial)
+SPARSE_CLASSES = (tm.QLaurent, tm.AdmissibleFunction, tm.ZLaurent,
+                  tm.DivisorPolynomial, tm.DiscSeries)
+FRACTION_CLASSES = (tm.QLaurent, tm.DiscSeries)
 
 
 @pytest.mark.parametrize("cls", SPARSE_CLASSES, ids=lambda c: c.__name__)
 def test_sparse_containers_share_merge_and_product(cls):
     rng = random.Random(cls.__name__)
-    low = 0 if cls is tm.DivisorPolynomial else -2
+    low = 0 if cls in (tm.DivisorPolynomial, tm.DiscSeries) else -2
 
     def coeff():
-        if cls is tm.QLaurent:
+        if cls in FRACTION_CLASSES:
             return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
         return random_qlaurent(rng, 2)
 
@@ -73,7 +75,7 @@ def test_sparse_containers_share_merge_and_product(cls):
     t = {(i, 0, 1): coeff() for i in range(3)}
     assert cls(t).terms == t and cls(t) != t
     for other in SPARSE_CLASSES:
-        if other is not cls and (other is tm.QLaurent) == (cls is tm.QLaurent):
+        if other is not cls and (other in FRACTION_CLASSES) == (cls in FRACTION_CLASSES):
             assert cls(t) != other(t)
 
 
@@ -214,6 +216,36 @@ def test_to_admissible_quad_zero_class():
     )
 
 
+def test_disc_series_rejects_negative_exponents():
+    with pytest.raises(ValueError):
+        tm.DiscSeries({(1, -1, 0): 1})
+    with pytest.raises(ValueError):
+        tm.disc_series(data_for("P2"), 1) + tm.DiscSeries([((0, 0, -2), 3)])
+
+
+def test_disc_series_equality_is_type_sensitive():
+    s = tm.disc_series(data_for("P2"), 2)
+    assert tm.DiscSeries(s.terms) == s
+    same_terms = tm.AdmissibleFunction(s.terms)
+    assert same_terms.terms == s.terms
+    assert s != same_terms and same_terms != s
+
+
+def test_disc_series_operations_stay_consistent():
+    # truncation_order is the top total degree of whatever terms are present
+    s = tm.disc_series(data_for("P1xP1"), 3)
+    assert s.truncation_order == 3
+    assert s.restrict(1).truncation_order == 1
+    assert s.restrict(1) == tm.disc_series(data_for("P1xP1"), 1)
+    assert (s * s).truncation_order == 6
+    assert (s - s).truncation_order == 0 and not (s - s)
+    for scaled in (s.scale(Fraction(1, 3)), s * 2, 0.5 * s):
+        assert type(scaled) is tm.DiscSeries
+        assert all(type(c) is Fraction for c in scaled.terms.values())
+    assert s.scale(0.5).coefficient((1, 1, 1, 0)) == Fraction(1, 2)
+    assert s.coefficient((4, 0, 0, 0)) == 0
+
+
 # --- log derivative ----------------------------------------------------------
 
 def test_q_log_derivative_zero_class_view():
@@ -246,6 +278,31 @@ def test_log_derivative_identity_all_fixtures(name):
         lhs = tm.q_log_derivative(s, a, data)
         rhs = da.log_derivative_convolution(s, a, data).restrict(6)
         assert lhs == rhs
+
+
+def shift_and_add_reference(series, a, data):
+    """Prop 2.1's right side term by term: class k + e_i gets E_ia * c_k."""
+    out = {}
+    for i in range(data.d):
+        weight = data.lambda_exponents[i][a]
+        if not weight:
+            continue
+        for k, c in series.terms.items():
+            key = tuple(x + (j == i) for j, x in enumerate(k))
+            out[key] = out.get(key, 0) + weight * c
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_log_derivative_convolution_matches_shift_and_add(name):
+    data = data_for(name)
+    s = tm.disc_series(data, 8)
+    for a in range(data.l):
+        rhs = da.log_derivative_convolution(s, a, data)
+        assert type(rhs) is tm.DiscSeries
+        assert rhs.terms == shift_and_add_reference(s, a, data)
+        assert rhs.truncation_order == 9  # the degree-9 layer is kept
+        assert tm.q_log_derivative(s, a, data) == rhs.restrict(8)
 
 
 def test_log_derivative_single_facet_for_products():

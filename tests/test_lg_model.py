@@ -291,6 +291,33 @@ def test_every_start_failing_is_reported():
         critical_points(tm.superpotential(data), [1.0], cfg)
 
 
+def test_nonpositive_dedup_tol_keeps_every_converged_start():
+    # each root taken leaves the pool even when no distance is below the
+    # tolerance; run in a child so that a regression fails instead of hanging
+    import subprocess
+    import sys
+
+    code = (
+        "import toricmirror as tm\n"
+        "from toricmirror.errors import IncompleteRootSet\n"
+        "w = tm.superpotential(tm.fixture('P2'))\n"
+        "for tol in (0.0, -1.0):\n"
+        "    cfg = tm.SolverConfig(expected_count=3, starts=20, seed=0, dedup_tol=tol)\n"
+        "    try:\n"
+        "        tm.critical_points(w, [1.0], cfg)\n"
+        "    except IncompleteRootSet as exc:\n"
+        "        print(exc)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, check=True)
+    lines = out.stdout.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        found = int(line.split()[1])
+        failed = int(line.split("(")[1].split()[0])
+        assert found + failed == 20 and found > 3
+
+
 # --- evaluation at critical points -------------------------------------------
 
 def test_evaluate_constant_is_all_ones():

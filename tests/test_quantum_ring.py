@@ -1,10 +1,14 @@
 import cmath
+import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import toricmirror as tm
+from toricmirror import _intlinalg as ila
 from toricmirror import quantum_ring as qr
 from toricmirror.disc_algebra import QLaurent
 from toricmirror.errors import (
@@ -151,6 +155,50 @@ def test_substitute_quantum_generators_vanish():
 
 
 # --- quotient models ---------------------------------------------------------
+
+def combinations_pivot_reference(data):
+    """First invertible column set in combinations order, by Fraction inverse.
+
+    Returns the free ray indices and, per ray, its linear form in the free
+    variables; D_pivot = -(Vp^-1 Vf) D_free.
+    """
+    n, d = data.n, data.d
+    vmat = [[Fraction(data.rays[i][j]) for i in range(d)] for j in range(n)]
+    for pivots in itertools.combinations(range(d), n):
+        inv = ila.inverse([[vmat[r][c] for c in pivots] for r in range(n)])
+        if inv is not None:
+            break
+    free = tuple(i for i in range(d) if i not in pivots)
+
+    def unit(s):
+        return tuple(int(s == t) for t in range(len(free)))
+
+    forms = {ray: {unit(s): Fraction(1)} for s, ray in enumerate(free)}
+    for r, ray in enumerate(pivots):
+        forms[ray] = {}
+        for s, f in enumerate(free):
+            v = -sum(inv[r][k] * vmat[k][f] for k in range(n))
+            if v:
+                forms[ray][unit(s)] = v
+    return free, tuple(forms[i] for i in range(d))
+
+
+BLP2_RAYS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "blp2_rays.json"
+
+
+@pytest.mark.parametrize("name", ("P2", "P1xP1", "P1xP2", "P2xP2", "BlP2",
+                                  "BlP2-rays", "P2^3", "P2^4", "P1^5"))
+def test_linear_substitution_matches_combinations_order(name):
+    if name == "BlP2-rays":
+        data = tm.build_toric_data(json.loads(BLP2_RAYS.read_text())["rays"])
+    elif "^" in name:
+        m, k = name[1:].split("^")
+        data = product_data([int(m)] * int(k))
+    else:
+        data = data_for(name)
+    free, forms = qr._linear_substitution(qr.linear_ideal(data), data.d)
+    assert (free, forms) == combinations_pivot_reference(data)
+
 
 def test_quotient_model_plane():
     pres = qr.presentation_for(data_for("P2"))
