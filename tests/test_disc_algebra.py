@@ -220,7 +220,7 @@ def test_disc_series_rejects_negative_exponents():
     with pytest.raises(ValueError):
         tm.DiscSeries({(1, -1, 0): 1})
     with pytest.raises(ValueError):
-        tm.disc_series(data_for("P2"), 1) + tm.DiscSeries([((0, 0, -2), 3)])
+        tm.DiscSeries([((0, 0, -2), 3)])
 
 
 def test_disc_series_equality_is_type_sensitive():
