@@ -46,7 +46,6 @@ from .quantum_ring import (
     QuotientModel,
     RingPresentation,
     VerificationReport,
-    builtin_presentation,
     linear_ideal,
     multiplication_spectrum,
     product_structure,

@@ -1,8 +1,10 @@
 """Exact linear algebra for the small dense matrices used here.
 
-Integer matrices (lists of row lists of Python ints) get unimodular column
-and row reductions; rational systems get one Fraction reduced-row-echelon
-routine, ``rref``, behind inverse, solve and unimodular inverse.  Every
+Integer matrices (lists of row lists of Python ints) get one unimodular
+column (Hermite) reduction, ``column_echelon``, behind kernel bases, the
+surjectivity test and integer solving; rational systems get one Fraction
+reduced-row-echelon routine, ``rref``, behind inverse, solve and unimodular
+inverse.  Every
 matrix here is desk scale (dimensions at most ~10), so clarity beats
 asymptotics.
 """
@@ -13,9 +15,9 @@ from fractions import Fraction
 def exgcd(a, b):
     """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b == g.
 
-    When a divides b the pair is (sign(a), 0), so elimination steps built on
-    it leave the pivot row alone; without this guarantee alternating row and
-    column clearing can cycle.
+    When a divides b the pair is (sign(a), 0), so a column-reduction step
+    whose pivot already divides the entry keeps the pivot column (up to sign)
+    and only subtracts a multiple of it from the other column.
     """
     if a and b % a == 0:
         return (a, 1, 0) if a > 0 else (-a, -1, 0)
@@ -129,63 +131,6 @@ def solve_integer(mat, rhs):
     if any(resid):
         return None
     return [sum(u[c][i] * y[c] for c in range(d)) for i in range(d)]
-
-
-def smith_diagonal(mat):
-    """Diagonal of a diagonalization of mat under unimodular row/column ops.
-
-    Divisibility between entries is not normalized; the absolute product of
-    the diagonal still equals the product of the invariant factors, which is
-    all the saturation checks in this package need.
-    """
-    a = [list(row) for row in mat]
-    n = len(a)
-    d = len(a[0]) if n else 0
-    diag = []
-    top = 0
-    while top < n and top < d:
-        # find a nonzero entry in the trailing block
-        pos = None
-        for r in range(top, n):
-            for c in range(top, d):
-                if a[r][c]:
-                    pos = (r, c)
-                    break
-            if pos:
-                break
-        if pos is None:
-            break
-        r0, c0 = pos
-        a[top], a[r0] = a[r0], a[top]
-        for row in a:
-            row[top], row[c0] = row[c0], row[top]
-        while True:
-            # clear the column with row operations
-            for r in range(top + 1, n):
-                if a[r][top]:
-                    g, x, y = exgcd(a[top][top], a[r][top])
-                    s, t = a[top][top] // g, a[r][top] // g
-                    a[top], a[r] = (
-                        [x * a[top][c] + y * a[r][c] for c in range(d)],
-                        [-t * a[top][c] + s * a[r][c] for c in range(d)],
-                    )
-            # then the row with column operations
-            changed = False
-            for c in range(top + 1, d):
-                if a[top][c]:
-                    g, x, y = exgcd(a[top][top], a[top][c])
-                    s, t = a[top][top] // g, a[top][c] // g
-                    for r in range(n):
-                        a[r][top], a[r][c] = (
-                            x * a[r][top] + y * a[r][c],
-                            -t * a[r][top] + s * a[r][c],
-                        )
-                    changed = True
-            if not changed and all(not a[r][top] for r in range(top + 1, n)):
-                break
-        diag.append(abs(a[top][top]))
-        top += 1
-    return diag
 
 
 def det(mat):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from fractions import Fraction
@@ -118,14 +119,18 @@ def load_input(source):
     )
 
 
+def _parse_fractions(text, what):
+    parts = [p.strip() for p in str(text).split(",") if p.strip()]
+    try:
+        return [Fraction(p) for p in parts]
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"cannot parse {what} {text!r}") from None
+
+
 def _parse_q(text, l):
     if text is None:
         return None
-    parts = [p.strip() for p in str(text).split(",") if p.strip()]
-    try:
-        vals = [Fraction(p) for p in parts]
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"cannot parse parameter list {text!r}") from None
+    vals = _parse_fractions(text, "parameter list")
     if any(v <= 0 for v in vals):
         raise ParseError("parameters must be positive")
     if len(vals) == 1 and l > 1:
@@ -136,11 +141,7 @@ def _parse_q(text, l):
 
 
 def _parse_point(text, n):
-    parts = [p.strip() for p in str(text).split(",") if p.strip()]
-    try:
-        vals = [Fraction(p) for p in parts]
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"cannot parse point {text!r}") from None
+    vals = _parse_fractions(text, "point")
     if len(vals) != n:
         raise ParseError(f"expected {n} coordinates, got {len(vals)}")
     return vals
@@ -154,19 +155,6 @@ def _parse_kmax(kmax):
 
 def _check(name, passed, details):
     return {"name": name, "status": "pass" if passed else "fail", "details": details}
-
-
-def _presentation_for_input(data, source):
-    factorization = quantum_ring.product_structure(data)
-    if factorization is not None:
-        return quantum_ring.presentation_for(data, factorization)
-    if source in ("BlP2",):
-        return quantum_ring.builtin_presentation(source)
-    raise NotAProduct(
-        "no ring presentation available: the fan is not a product of "
-        "projective-space fans and no builtin presentation is registered "
-        f"for {source!r}"
-    )
 
 
 # --- command handlers -------------------------------------------------------
@@ -266,9 +254,13 @@ def _cmd_check_thm32(data, args):
 def _solver_config(args, expected):
     for flag in ("starts", "max_iter", "tol", "dedup_tol"):
         value = getattr(args, flag)
-        if value is not None and not value > 0:
-            option = "--" + flag.replace("_", "-")
+        if value is None:
+            continue
+        option = "--" + flag.replace("_", "-")
+        if not value > 0:
             raise ParseError(f"{option} must be positive, got {value}")
+        if not math.isfinite(value):
+            raise ParseError(f"{option} must be finite, got {value}")
     return lg_model.SolverConfig(
         expected_count=expected,
         starts=args.starts,
@@ -306,7 +298,7 @@ def _cmd_critical_points(data, args):
 
 
 def _cmd_presentation(data, args):
-    pres = _presentation_for_input(data, args.input)
+    pres = quantum_ring.presentation_for(data)
     jac = lg_model.jacobian_generators(lg_model.superpotential(data))
     syntactic = all(
         quantum_ring.substitute_divisors(g, data) == jac[j]
@@ -328,7 +320,7 @@ def _cmd_presentation(data, args):
 
 
 def _cmd_verify_iso(data, args):
-    pres = _presentation_for_input(data, args.input)
+    pres = quantum_ring.presentation_for(data)
     q = _parse_q(args.q, data.l)
     defaulted = q is None
     if defaulted:
@@ -466,6 +458,15 @@ def build_parser():
         p.add_argument("--out", help="write the JSON report to this path")
         return p
 
+    def add_solver(name, help_text):
+        p = add(name, help_text)
+        p.add_argument("--q", help="comma-separated positive parameters (default: 1 each)")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--starts", type=int)
+        p.add_argument("--max-iter", type=int, default=80, dest="max_iter")
+        p.add_argument("--tol", type=float, default=1e-12)
+        p.add_argument("--dedup-tol", type=float, default=1e-6, dest="dedup_tol")
+
     add("info", "validate the input and summarize its lattice data")
     p = add("vertices", "enumerate polytope vertices at numeric parameters")
     p.add_argument("--q", help="comma-separated positive parameters (default: e^-1 each)")
@@ -476,21 +477,9 @@ def build_parser():
     p.add_argument("--kmax", type=int, default=6)
     p = add("check-thm32", "verify transform vs exponential, exactly, per order")
     p.add_argument("--kmax", type=int, default=6)
-    p = add("critical-points", "solve for all critical points of the mirror function")
-    p.add_argument("--q", help="comma-separated positive parameters (default: 1 each)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=int)
-    p.add_argument("--max-iter", type=int, default=80, dest="max_iter")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--dedup-tol", type=float, default=1e-6, dest="dedup_tol")
+    add_solver("critical-points", "solve for all critical points of the mirror function")
     add("presentation", "emit the ring presentation on divisor generators")
-    p = add("verify-iso", "run the full ring-vs-mirror verification")
-    p.add_argument("--q", help="comma-separated positive parameters (default: 1 each)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=int)
-    p.add_argument("--max-iter", type=int, default=80, dest="max_iter")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--dedup-tol", type=float, default=1e-6, dest="dedup_tol")
+    add_solver("verify-iso", "run the full ring-vs-mirror verification")
     p = add("tropical", "count marked single-vertex curves per product factor")
     p.add_argument("--factor", type=int, help="1-based factor index (default: all)")
     p.add_argument("--xi", help="comma-separated rational vertex coordinates")

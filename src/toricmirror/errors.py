@@ -49,18 +49,10 @@ class IncompleteRootSet(ToricMirrorError):
     """The critical-point search did not end with the expected root count."""
 
 
-class NonConvergence(ToricMirrorError):
-    """A single Newton start failed to converge."""
-
-
 # --- ring presentations --------------------------------------------------
 
 class NotAProduct(ToricMirrorError):
     """The fan is not a product of projective-space fans."""
-
-
-class UnknownExample(ToricMirrorError):
-    """No built-in ring presentation is registered under that name."""
 
 
 class DimensionUnstable(ToricMirrorError):

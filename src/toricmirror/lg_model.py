@@ -10,9 +10,8 @@ S x n batch with one batched linear solve per step.
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,28 +32,8 @@ class Superpotential:
     terms: ZLaurent
 
     def coefficients(self, q_numeric):
-        """Numeric coefficient of each monomial term at positive q."""
-        qv = [float(x) for x in q_numeric]
-        return [
-            math.prod(q ** e for q, e in zip(qv, self.data.lambda_exponents[i]))
-            for i in range(self.data.d)
-        ]
-
-    def numeric(self, q_numeric):
-        """Callable z -> W(z) at fixed numeric q."""
-        coeffs = self.coefficients(q_numeric)
-        rays = self.data.rays
-
-        def w(z):
-            total = 0 + 0j
-            for c, v in zip(coeffs, rays):
-                mono = 1 + 0j
-                for zj, vj in zip(z, v):
-                    mono *= zj ** vj
-                total += c * mono
-            return total
-
-        return w
+        """Numeric coefficient of each ray's term at positive q."""
+        return [self.terms.terms[v].evaluate(q_numeric) for v in self.data.rays]
 
 
 def superpotential(data) -> Superpotential:
@@ -119,7 +98,6 @@ class CriticalPointSet:
     monomial_values: tuple     # per point, the d complex term values
     residuals: tuple           # max |z_j dW/dz_j| at each point
     failed_starts: int = 0
-    log_points: tuple = field(default=(), repr=False)
 
     def __len__(self):
         return len(self.points)
@@ -225,7 +203,6 @@ def critical_points(w: Superpotential, q_numeric, config: SolverConfig):
         monomial_values=tuple(rec[2] for rec in records),
         residuals=tuple(rec[3] for rec in records),
         failed_starts=failed,
-        log_points=tuple(rec[4] for rec in records),
     )
 
 

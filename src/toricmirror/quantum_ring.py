@@ -4,9 +4,11 @@ The ring is presented on divisor generators D_1..D_d by the n linear
 relations sum_i v_i^j D_i and by quantum deformations of the monomial
 relations.  ``DivisorPolynomial`` is the shared sparse container keyed by
 divisor exponents; ``substitute_divisors`` maps it to the mirror by the
-disc-class relabeling D^m -> e^{lambda.m} z^{v.m}.  For products of
-projective spaces the quantum relations are computed (one per factor); the
-blowup example ships as a built-in presentation.  A finite-dimensional
+disc-class relabeling D^m -> e^{lambda.m} z^{v.m}.  The presentation
+is chosen from the fan's data by ``presentation_for``: for products of
+projective spaces the quantum relations are computed (one per factor), and
+an input with the blowup example's rays, kernel basis and facet monomials
+gets that example's built-in relations.  A finite-dimensional
 quotient model is built at exact rational q: one row reduction of the linear
 relations writes every divisor variable as a linear form in the free ones,
 and a reduced Groebner basis of the quantum relations in those variables
@@ -39,8 +41,8 @@ from .errors import (
     DimensionUnstable,
     EmptyQuotient,
     NotAProduct,
-    UnknownExample,
 )
+from .fixtures import blowup_p2
 from .lg_model import (
     SolverConfig,
     critical_points,
@@ -180,40 +182,48 @@ class RingPresentation:
     provenance: str  # "computed-product" | "builtin-example"
 
 
-def presentation_for(data, factorization=None):
-    """Computed presentation for a product fan."""
-    if factorization is None:
-        factorization = product_structure(data)
-    gens = quantum_sr_ideal(data, factorization)
-    return RingPresentation(
-        d=data.d,
-        linear_gens=tuple(linear_ideal(data)),
-        quantum_gens=tuple(gens),
-        provenance="computed-product",
-    )
-
-
-def builtin_presentation(name):
-    """Registered presentation for a non-product example."""
-    if name != "BlP2":
-        raise UnknownExample(f"no builtin presentation named {name!r}")
-    from .fixtures import blowup_p2
-
-    data = blowup_p2()
-    one = QLaurent.constant(1, data.l)
+def _blowup_relations(l):
+    """The blowup example's quantum relations, in its fixture's kernel basis."""
+    one = QLaurent.constant(1, l)
     q1 = QLaurent.monomial((1, 0))
     q2 = QLaurent.monomial((0, 1))
-    quantum = (
+    return (
         # D1*D3 - q1*D4
         DivisorPolynomial([((1, 0, 1, 0), one), ((0, 0, 0, 1), q1.scale(-1))]),
         # D2*D4 - q2
         DivisorPolynomial([((0, 1, 0, 1), one), ((0, 0, 0, 0), q2.scale(-1))]),
     )
+
+
+def _lattice_data(data):
+    return data.rays, data.kbasis, data.lambda_exponents
+
+
+def presentation_for(data, factorization=None):
+    """Ring presentation chosen from the fan's data.
+
+    A product fan gets its computed quantum relations.  An input whose rays,
+    kernel basis and facet monomials equal the blowup example's gets that
+    example's built-in relations (``lambda_numeric`` is not compared: it
+    only fixes a numeric representative).  Anything else raises NotAProduct.
+    """
+    if factorization is None:
+        factorization = product_structure(data)
+    if factorization is not None:
+        quantum, provenance = quantum_sr_ideal(data, factorization), "computed-product"
+    elif _lattice_data(data) == _lattice_data(blowup_p2()):
+        quantum, provenance = _blowup_relations(data.l), "builtin-example"
+    else:
+        raise NotAProduct(
+            "no ring presentation available: the fan is not a product of "
+            "projective-space fans and its rays, kernel basis and facet "
+            "monomials are not those of the builtin blowup example"
+        )
     return RingPresentation(
         d=data.d,
         linear_gens=tuple(linear_ideal(data)),
-        quantum_gens=quantum,
-        provenance="builtin-example",
+        quantum_gens=tuple(quantum),
+        provenance=provenance,
     )
 
 
@@ -432,6 +442,10 @@ def match_multisets(left, right):
 
 # --- full verification -------------------------------------------------------
 
+IDEAL_TOL = 1e-8     # largest residual of a quantum generator at a critical point
+SPECTRAL_TOL = 1e-6  # largest distance between matched eigenvalue and point value
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -453,8 +467,7 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-def verify_isomorphism(data, pres, q_numeric, seed=0, solver=None,
-                       spectral_tol=1e-6, ideal_tol=1e-8):
+def verify_isomorphism(data, pres, q_numeric, seed=0, solver=None):
     """Three-part consistency check between the ring model and the mirror.
 
     (a) the linear generators map exactly onto the logarithmic derivatives of
@@ -505,8 +518,8 @@ def verify_isomorphism(data, pres, q_numeric, seed=0, solver=None,
     checks.append(
         CheckResult(
             "quantum-generators-vanish-at-critical-points",
-            bool(worst_ideal <= ideal_tol),
-            {"max_residual": float(worst_ideal), "tolerance": ideal_tol},
+            bool(worst_ideal <= IDEAL_TOL),
+            {"max_residual": float(worst_ideal), "tolerance": IDEAL_TOL},
         )
     )
 
@@ -532,8 +545,8 @@ def verify_isomorphism(data, pres, q_numeric, seed=0, solver=None,
     checks.append(
         CheckResult(
             "multiplication-spectra-match-point-evaluations",
-            bool(worst_spectral <= spectral_tol),
-            {"max_distance": float(worst_spectral), "tolerance": spectral_tol},
+            bool(worst_spectral <= SPECTRAL_TOL),
+            {"max_distance": float(worst_spectral), "tolerance": SPECTRAL_TOL},
         )
     )
 

@@ -149,12 +149,12 @@ def build_toric_data(rays, lambda_exponents=None, kbasis=None, lambda_numeric=No
         kcols = [tuple(int(c) for c in col) for col in kbasis]
         if len(kcols) != l or any(len(col) != d for col in kcols):
             raise BasisNotKernel(f"kernel basis must be {d}x{l}, column-major")
-        mat = [[rays[i][j] for i in range(d)] for j in range(n)]
         for col in kcols:
             if any(sum(col[i] * rays[i][j] for i in range(d)) for j in range(n)):
                 raise BasisNotKernel(f"column {col} is not in the ray kernel")
-        diag = ila.smith_diagonal([list(col) for col in zip(*kcols)])
-        if len(diag) != l or any(v != 1 for v in diag):
+        # l kernel columns are a Z-basis of the saturated kernel exactly when
+        # they span a saturated rank-l lattice, i.e. their transpose is onto Z^l
+        if not ila.is_surjective([list(col) for col in kcols]):
             raise BasisNotKernel("columns do not form a Z-basis of the kernel")
 
     if lambda_exponents is None:

@@ -80,15 +80,8 @@ def count_tgw(data, factorization, a, xi):
     so the enumeration reduces to a balancing check at the pinned vertex:
     the count is 1 when the forced edges balance, else 0.
     """
-    if factorization is None:
-        raise NotAProduct("fan is not a product of projective-space fans")
-    if not 0 <= a < len(factorization.factors):
-        raise IndexOutOfRange(f"no factor with index {a}")
-    block = factorization.factors[a]
-    xi = tuple(Fraction(x) for x in xi)
-    directions = [data.rays[i] for i in block.ray_indices]
     try:
-        glue_discs([TropicalDisc(vertex=xi, direction=v) for v in directions])
+        factor_curve(data, factorization, a, xi)
     except Unbalanced:
         return 0
     return 1
@@ -98,6 +91,8 @@ def factor_curve(data, factorization, a, xi):
     """The unique marked curve counted by count_tgw, when it exists."""
     if factorization is None:
         raise NotAProduct("fan is not a product of projective-space fans")
+    if not 0 <= a < len(factorization.factors):
+        raise IndexOutOfRange(f"no factor with index {a}")
     block = factorization.factors[a]
     xi = tuple(Fraction(x) for x in xi)
     return glue_discs(

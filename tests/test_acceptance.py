@@ -177,11 +177,7 @@ def test_criterion_06_dimension_agreement():
         data = data_for(name)
         vertices = tm.vertex_count_reference(data)
         points = len(solve(name, (1.0,) * data.l))
-        pres = (
-            qr.builtin_presentation("BlP2")
-            if name == "BlP2"
-            else qr.presentation_for(data)
-        )
+        pres = qr.presentation_for(data)
         dim = qr.quotient_model(pres, [Fraction(1)] * data.l).dim
         if not (dim == points == vertices == expected[name]):
             failures.append((name, dim, points, vertices))
@@ -202,11 +198,7 @@ def test_criterion_07_spectral_verification():
     start = time.perf_counter()
     for name in FIXTURE_NAMES:
         data = data_for(name)
-        pres = (
-            qr.builtin_presentation("BlP2")
-            if name == "BlP2"
-            else qr.presentation_for(data)
-        )
+        pres = qr.presentation_for(data)
         for q in ((Fraction(1),) * data.l, _generic_q(data.l)):
             report = qr.verify_isomorphism(data, pres, q)
             for check in report.checks:

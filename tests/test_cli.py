@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +116,35 @@ def test_presentation_blowup_and_product():
     assert json.loads(out)["checks"][0]["details"]["provenance"] == "computed-product"
 
 
+README_BLOWUP = {
+    "name": "blowup",
+    "n": 2,
+    "rays": [[1, 0], [0, 1], [-1, -1], [0, -1]],
+    "kbasis": [[1, 0, 1, -1], [0, 1, 0, 1]],
+    "lambda_monomials": [[0, 0], [0, 0], [1, 1], [0, 1]],
+    "lambda_numeric": [0.0, 0.0, -2.0, -1.0],
+}
+BLP2_RAYS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "blp2_rays.json"
+
+
+def test_blowup_document_gets_the_builtin_presentation(tmp_path):
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(README_BLOWUP))
+    code, out, _ = run_cli(["presentation", str(path)])
+    assert code == 0
+    assert json.loads(out)["checks"][0]["details"]["provenance"] == "builtin-example"
+    code, _, _ = run_cli(["verify-iso", str(path), "--q", "1/2,1/3"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", ["presentation", "verify-iso"])
+def test_blowup_rays_with_computed_basis_are_not_a_product(command):
+    # the computed kernel basis differs from the builtin example's
+    code, out, _ = run_cli([command, str(BLP2_RAYS)])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "NotAProduct"
+
+
 def test_verify_iso_passes_and_is_deterministic():
     args = ["verify-iso", "P2", "--q", "1", "--seed", "0"]
     code1, out1, _ = run_cli(args)
@@ -225,6 +255,16 @@ def test_nonpositive_solver_options_are_parse_errors(command, option, value):
 
 
 @pytest.mark.parametrize("command", ["critical-points", "verify-iso"])
+@pytest.mark.parametrize("option", ["--tol", "--dedup-tol"])
+def test_infinite_tolerances_are_parse_errors(command, option):
+    code, out, _ = run_cli([command, "P2", f"{option}=inf"])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"] == f"{option} must be finite, got inf"
+
+
+@pytest.mark.parametrize("command", ["critical-points", "verify-iso"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_nonpositive_dedup_tol_is_a_parse_error(command, value):
     # in a child process, so that a regression to the old endless dedup loop
@@ -260,14 +300,15 @@ def test_verify_iso_default_q_shifts_on_degenerate_spectrum():
     # points, so the command reruns at the generic parameter point
     code, out, _ = run_cli(["verify-iso", "P2", "--dedup-tol", "0.25"])
     assert code == 0
-    report = json.loads(out)
-    assert report["checks"][0]["details"]["q"] == ["7/10"]
+    checks = json.loads(out)["checks"]
+    assert [c["details"]["q"] for c in checks[:-1]] == [["7/10"]] * 4
 
 
 def test_verify_iso_explicit_q_is_not_shifted():
     code, out, _ = run_cli(["verify-iso", "P2", "--q", "1", "--dedup-tol", "0.25"])
     assert code == 0
-    assert json.loads(out)["checks"][0]["details"]["q"] == ["1"]
+    checks = json.loads(out)["checks"]
+    assert [c["details"]["q"] for c in checks[:-1]] == [["1"]] * 4
 
 
 def test_subprocess_reports_are_byte_identical():

@@ -22,7 +22,7 @@ def _cases():
     # presentation, rational q, number of maximal cones (the quotient dimension)
     return {
         "BlP2": (
-            qr.builtin_presentation("BlP2"), [Fraction(1, 2), Fraction(3, 10)], 4
+            qr.presentation_for(data_for("BlP2")), [Fraction(1, 2), Fraction(3, 10)], 4
         ),
         "(P1)^3": (
             qr.presentation_for(cube), [Fraction(k, 9) for k in (6, 5, 4)], 8

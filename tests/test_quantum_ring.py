@@ -15,7 +15,6 @@ from toricmirror.errors import (
     DimensionUnstable,
     EmptyQuotient,
     NotAProduct,
-    UnknownExample,
 )
 from toricmirror.syz_transform import ZLaurent
 
@@ -119,7 +118,7 @@ def test_quantum_relations_require_product():
 
 
 def test_builtin_presentation_blowup():
-    pres = qr.builtin_presentation("BlP2")
+    pres = qr.presentation_for(data_for("BlP2"))
     assert pres.provenance == "builtin-example"
     assert pres.quantum_gens[0] == dpoly(
         [((1, 0, 1, 0), 1), ((0, 0, 0, 1), QLaurent.monomial((1, 0), -1))], 2
@@ -129,9 +128,11 @@ def test_builtin_presentation_blowup():
     )
 
 
-def test_builtin_presentation_unknown_name():
-    with pytest.raises(UnknownExample):
-        qr.builtin_presentation("P3")
+def test_blowup_rays_with_computed_basis_are_not_the_builtin():
+    data = tm.build_toric_data(data_for("BlP2").rays)
+    assert data.kbasis != data_for("BlP2").kbasis
+    with pytest.raises(NotAProduct):
+        qr.presentation_for(data)
 
 
 # --- substitution ------------------------------------------------------------
@@ -150,7 +151,7 @@ def test_substitute_quantum_generators_vanish():
         for gen in qr.quantum_sr_ideal(data, qr.product_structure(data)):
             assert qr.substitute_divisors(gen, data) == ZLaurent()
     bl = data_for("BlP2")
-    for gen in qr.builtin_presentation("BlP2").quantum_gens:
+    for gen in qr.presentation_for(bl).quantum_gens:
         assert qr.substitute_divisors(gen, bl) == ZLaurent()
 
 
@@ -217,7 +218,7 @@ def test_quotient_model_quad():
 
 def test_quotient_model_blowup():
     model = qr.quotient_model(
-        qr.builtin_presentation("BlP2"), [Fraction(1), Fraction(1)]
+        qr.presentation_for(data_for("BlP2")), [Fraction(1), Fraction(1)]
     )
     assert model.dim == 4
 
@@ -240,11 +241,7 @@ def test_quotient_dimensions_products(name, dim):
 def test_multiplication_matrices_commute():
     for name in ("P2", "P1xP1", "P1xP2", "P2xP2", "BlP2"):
         data = data_for(name)
-        pres = (
-            qr.builtin_presentation("BlP2")
-            if name == "BlP2"
-            else qr.presentation_for(data)
-        )
+        pres = qr.presentation_for(data)
         model = qr.quotient_model(pres, [Fraction(7, 10), Fraction(2, 10)][: data.l])
         mats = [
             np.array(
@@ -370,7 +367,7 @@ def test_verify_isomorphism_quad_generic_q():
 def test_verify_isomorphism_blowup():
     data = data_for("BlP2")
     report = qr.verify_isomorphism(
-        data, qr.builtin_presentation("BlP2"), [Fraction(1, 2), Fraction(3, 10)]
+        data, qr.presentation_for(data), [Fraction(1, 2), Fraction(3, 10)]
     )
     assert report.ok
     assert report.dim == report.point_count == 4

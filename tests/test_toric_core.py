@@ -97,10 +97,7 @@ def test_kernel_property_random_spanning_sets():
             assert all(
                 sum(col[i] * rays[i][j] for i in range(d)) == 0 for j in range(n)
             )
-        # genuine Z-basis: saturated columns ...
-        diag = ila.smith_diagonal([list(r) for r in zip(*basis)])
-        assert diag == [1] * (d - n)
-        # ... and completing with preimages of the unit vectors is unimodular
+        # genuine Z-basis: completing with preimages of the unit vectors is unimodular
         preimages = [
             ila.solve_integer(mat, [1 if r == j else 0 for r in range(n)])
             for j in range(n)
@@ -131,6 +128,9 @@ def test_build_rejects_bad_kernel_basis():
         build_toric_data(P2_RAYS, kbasis=[(1, 0, 1)])  # not in the kernel
     with pytest.raises(BasisNotKernel):
         build_toric_data(P2_RAYS, kbasis=[(2, 2, 2)])  # not saturated
+    with pytest.raises(BasisNotKernel):
+        # primitive kernel columns spanning an index-2 sublattice
+        build_toric_data(data_for("BlP2").rays, kbasis=[(1, 0, 1, -1), (1, 2, 1, 1)])
 
 
 def test_build_rejects_inconsistent_monomials():

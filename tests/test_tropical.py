@@ -7,7 +7,7 @@ import pytest
 
 from toricmirror import quantum_ring as qr
 from toricmirror import tropical as trop
-from toricmirror.errors import NotAProduct, ToricMirrorError
+from toricmirror.errors import IndexOutOfRange, NotAProduct, ToricMirrorError
 
 from helpers import PRODUCT_NAMES, data_for
 
@@ -105,6 +105,14 @@ def test_factor_curve_degree_is_kernel_column():
         curve = trop.factor_curve(data, fac, a, xi)
         degree = trop.curve_degree(curve, data)
         assert degree == data.kbasis[a]
+
+
+@pytest.mark.parametrize("a", (-1, 2))
+@pytest.mark.parametrize("call", (trop.factor_curve, trop.count_tgw))
+def test_factor_index_out_of_range(call, a):
+    data = data_for("P1xP1")
+    with pytest.raises(IndexOutOfRange):
+        call(data, qr.product_structure(data), a, (0, 0))
 
 
 def test_count_requires_product():
