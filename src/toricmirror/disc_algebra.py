@@ -2,7 +2,12 @@
 
 Every sparse "exponent tuple -> coefficient" map of the package is a
 ``SparseTerms`` subclass sharing one merge (``add_into``) and one
-exponent-adding product (``product``):
+exponent-adding product (``product``).  The product works on flattened keys,
+a nested coefficient {e: c} at v being the term c at the key v + e, and
+multiplies integer numerators over one common denominator per factor.  The
+class-indexed builds (``to_admissible``, ``exp_superpotential``,
+``substitute_divisors``) key each disc class by one pass over the columns
+of [rays | lambda_exponents] and nest the same way (``nest``).  The maps:
 
 * ``QLaurent`` -- Laurent polynomials in the Kahler parameters q_1..q_l with
   rational coefficients; the common coefficient ring.
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .errors import IndexOutOfRange
 
@@ -48,12 +53,61 @@ def add_into(out, pairs):
 
 
 def product(p, q):
-    """Exponent-adding product of two plain term dicts."""
-    return add_into({}, (
-        (tuple(map(add, e1, e2)), c1 * c2)
-        for e1, c1 in p.items()
-        for e2, c2 in q.items()
-    ))
+    """Exponent-adding product of two plain term dicts.
+
+    A one-term factor shifts the other's keys and scales its coefficients.
+    Otherwise nested coefficients are flattened, ``{v: {e: c}}`` to
+    ``{v + e: c}``, each side is written as integer numerators over its
+    lcm denominator, the numerators are multiplied and summed as ``int``,
+    and every nonzero sum is divided once and nested again.  Both maps hold
+    coefficients of one kind: ``int``/``Fraction``, or ``SparseTerms`` over
+    them.
+    """
+    if not p or not q:
+        return {}
+    if len(q) == 1:
+        p, q = q, p
+    if len(p) == 1:
+        ((e1, c1),) = p.items()
+        return {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in q.items()}
+    fp, den_p = _numerators(p)
+    fq, den_q = _numerators(q)
+    acc = {}
+    get = acc.get
+    for k1, a in fp:
+        for k2, b in fq:
+            k = tuple(map(add, k1, k2))
+            acc[k] = get(k, 0) + a * b
+    den = den_p * den_q
+    flat = ((k, Fraction(c, den)) for k, c in acc.items() if c)
+    inner = next(iter(p.values()))
+    if isinstance(inner, SparseTerms):
+        return nest(flat, len(next(iter(p))), type(inner))
+    return dict(flat)
+
+
+def _numerators(terms):
+    """Flattened (key, integer numerator) pairs and their common denominator."""
+    flat = []
+    for v, c in terms.items():
+        if isinstance(c, SparseTerms):
+            flat.extend((v + e, x) for e, x in c.terms.items())
+        else:
+            flat.append((v, c))
+    den = math.lcm(*(c.denominator for _, c in flat))
+    return [(k, c.numerator * (den // c.denominator)) for k, c in flat], den
+
+
+def nest(pairs, m, inner):
+    """Merged nonzero ``(v + e, c)`` pairs -> ``{v: inner({e: c})}``, len(v) = m."""
+    out = {}
+    for k, c in pairs:
+        v = k[:m]
+        terms = out.get(v)
+        if terms is None:
+            terms = out[v] = {}
+        terms[k[m:]] = c
+    return {v: inner._wrap(terms) for v, terms in out.items()}
 
 
 def nonnegative_key(exps):
@@ -304,28 +358,27 @@ def disc_series(data, max_total):
     )
 
 
-def boundary_class(data, k):
-    """Boundary lattice class sum_i k_i v_i of a disc class."""
-    return tuple(
-        sum(k[i] * data.rays[i][j] for i in range(data.d)) for j in range(data.n)
-    )
+def class_columns(data):
+    """Columns of the d x (n + l) matrix [rays | lambda_exponents]."""
+    return tuple(zip(*map(add, data.rays, data.lambda_exponents)))
 
 
-def q_monomial_exponents(data, k):
-    """Exponent vector of prod_i (e^{lambda_i})^{k_i} in the q parameters."""
-    return tuple(
-        sum(k[i] * data.lambda_exponents[i][a] for i in range(data.d))
-        for a in range(data.l)
-    )
+def class_key(columns, k):
+    """Boundary class sum_i k_i v_i followed by the q-exponents of class k."""
+    return tuple(sum(map(mul, col, k)) for col in columns)
+
+
+def group_classes(pairs, n):
+    """(class key, rational) pairs -> {boundary class: QLaurent}, merged."""
+    return nest(add_into({}, pairs).items(), n, QLaurent)
 
 
 def to_admissible(series, data):
     """Group disc classes by boundary class, summing exact q-coefficients."""
-    return AdmissibleFunction._wrap(add_into({}, (
-        (boundary_class(data, k),
-         QLaurent.monomial(q_monomial_exponents(data, k), c))
-        for k, c in series.terms.items()
-    )))
+    columns = class_columns(data)
+    return AdmissibleFunction._wrap(group_classes(
+        ((class_key(columns, k), c) for k, c in series.terms.items()), data.n
+    ))
 
 
 def q_log_derivative(series, a, data):

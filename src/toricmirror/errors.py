@@ -15,6 +15,10 @@ class NonPrimitiveRay(ToricMirrorError):
     """A ray is zero or its coordinates have a common factor."""
 
 
+class RepeatedRay(ToricMirrorError):
+    """The same ray is given twice; a fan has each ray once."""
+
+
 class BasisNotKernel(ToricMirrorError):
     """A supplied basis matrix is not an integral basis of the ray kernel."""
 

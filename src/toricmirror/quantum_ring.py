@@ -30,11 +30,12 @@ from .disc_algebra import (
     QLaurent,
     SparseTerms,
     add_into,
-    boundary_class,
+    class_columns,
+    class_key,
     flat_json,
+    group_classes,
     nonnegative_key,
     product,
-    q_monomial_exponents,
 )
 from .errors import (
     ClassNotReducible,
@@ -229,11 +230,13 @@ def presentation_for(data, factorization=None):
 
 def substitute_divisors(p, data):
     """Image of a divisor polynomial under D_i -> e^{lambda_i} z^{v_i}."""
-    return ZLaurent._wrap(add_into({}, (
-        (boundary_class(data, m),
-         coeff * QLaurent.monomial(q_monomial_exponents(data, m)))
-        for m, coeff in p.terms.items()
-    )))
+    columns = class_columns(data)
+    pad = (0,) * data.n
+    pairs = []
+    for m, coeff in p.terms.items():
+        key = class_key(columns, m)
+        pairs.extend((tuple(map(add, key, pad + e)), c) for e, c in coeff.terms.items())
+    return ZLaurent._wrap(group_classes(pairs, data.n))
 
 
 # --- exact quotient model --------------------------------------------------

@@ -15,14 +15,13 @@ from fractions import Fraction
 
 from .disc_algebra import (
     AdmissibleFunction,
-    QLaurent,
     SparseTerms,
-    add_into,
+    class_columns,
+    class_key,
     class_weight,
-    boundary_class,
     flat_json,
+    group_classes,
     iter_disc_classes,
-    q_monomial_exponents,
 )
 
 
@@ -70,8 +69,8 @@ def exp_superpotential(data, max_total):
     """
     if max_total < 0:
         raise ValueError("truncation order must be nonnegative")
-    return ZLaurent._wrap(add_into({}, (
-        (boundary_class(data, k),
-         QLaurent.monomial(q_monomial_exponents(data, k), Fraction(1, class_weight(k))))
+    columns = class_columns(data)
+    return ZLaurent._wrap(group_classes((
+        (class_key(columns, k), Fraction(1, class_weight(k)))
         for k in iter_disc_classes(data.d, max_total)
-    )))
+    ), data.n))

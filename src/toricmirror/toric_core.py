@@ -31,6 +31,7 @@ from .errors import (
     NonPrimitiveRay,
     NonSpanningRays,
     PointOutsidePolytope,
+    RepeatedRay,
     UnboundedPolytope,
 )
 
@@ -121,10 +122,11 @@ def _check_lambda_consistency(kbasis, exps, d, l):
 def build_toric_data(rays, lambda_exponents=None, kbasis=None, lambda_numeric=None):
     """Validate the input data and assemble a ToricFanoData.
 
-    Rays must be nonzero, primitive and span Z^n.  The kernel basis is
-    computed when omitted; supplied bases are checked to be genuine Z-bases
-    of the kernel.  Facet monomials default to the normalized choice derived
-    from the kernel basis and are checked for consistency when supplied.
+    Rays must be nonzero, primitive, pairwise distinct and span Z^n.  The
+    kernel basis is computed when omitted; supplied bases are checked to be
+    genuine Z-bases of the kernel.  Facet monomials default to the normalized
+    choice derived from the kernel basis and are checked for consistency when
+    supplied.
     """
     rays = tuple(tuple(int(c) for c in v) for v in rays)
     if not rays:
@@ -143,6 +145,10 @@ def build_toric_data(rays, lambda_exponents=None, kbasis=None, lambda_numeric=No
         raise NonSpanningRays("a complete fan needs at least n + 1 rays")
 
     computed = kernel_basis(rays)
+    # W and every map keyed by ray would silently drop a repeated ray's term
+    for i, v in enumerate(rays):
+        if v in rays[:i]:
+            raise RepeatedRay(f"ray {v} is given more than once")
     if kbasis is None:
         kcols = computed
     else:

@@ -88,6 +88,31 @@ def test_phi_report_is_pinned(name, kmax):
     assert hashlib.sha256(out.encode()).hexdigest() == PHI_DIGESTS[name, kmax]
 
 
+# sha256 of the whole stdout of `check-prop21 <name> --kmax 6` and
+# `check-thm32 <name> --kmax 8`, the reports the exact product feeds
+CHECK_KMAX = {"check-prop21": 6, "check-thm32": 8}
+CHECK_DIGESTS = {
+    ("check-prop21", "P2"): "59e5fcb515a712001dcc347808f9b050e25cb5c0049b11e6145f2e7781cdd6b6",
+    ("check-prop21", "P1xP1"): "47f007042a6c424d469897e971be5f69305f99d704fb730b77ec492326586f48",
+    ("check-prop21", "P1xP2"): "139fd961d1f711d69ecfb94d62bc7c1447d17dccedb38006424bcfa945189ff4",
+    ("check-prop21", "P2xP2"): "65d877602e9d3992b3829362ed231c0f334342bd240d1fafad595669fa3fde77",
+    ("check-prop21", "BlP2"): "5e02a752d08db91920bdddf113dcabfa85d7dad8c04ac27cb979f8782d09b72c",
+    ("check-thm32", "P2"): "44aae8b592d82aabe88255e9f9e9e60d947a1cf2158fa6a9246c04c27254b0b0",
+    ("check-thm32", "P1xP1"): "a0afe74e3e226bbc0ffcaa956de86dfd3bae0c8d96f8406a7934c66a457bc2c9",
+    ("check-thm32", "P1xP2"): "161160677e65531f5e130aa6a5bf5087b69d6123ef2e11da2e9fbb2ff2feff66",
+    ("check-thm32", "P2xP2"): "f6f374ec207b45b655166e2c6fecc407a3116402c7487ebfcb5169fed5c8de37",
+    ("check-thm32", "BlP2"): "6f79ed197fabdbaf5b32b4f9655afc846de6d61860c231ef57c57a11aa44b60e",
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(CHECK_DIGESTS))
+def test_check_reports_are_pinned(command, name):
+    code, out, _ = run_cli([command, name, "--kmax", str(CHECK_KMAX[command])])
+    assert code == 0
+    assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_DIGESTS[command, name]
+
+
 @pytest.mark.parametrize("name", ("P2", "P1xP1", "BlP2"))
 def test_check_commands_pass(name):
     code, _, _ = run_cli(["check-prop21", name, "--kmax", "5"])
@@ -169,6 +194,35 @@ def test_tropical_blowup_is_structured_error():
     report = json.loads(out)
     assert report["error"]["type"] == "NotAProduct"
     assert "NotAProduct" in err
+
+
+def test_tropical_unbalanced_curve_reaches_the_report(monkeypatch):
+    from toricmirror import tropical
+
+    def unbalanced(discs):
+        raise tropical.Unbalanced("directions sum to (1, 0), not zero")
+
+    monkeypatch.setattr(tropical, "glue_discs", unbalanced)
+    code, out, err = run_cli(["tropical", "P1xP1"])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "Unbalanced", "message": "directions sum to (1, 0), not zero"}
+    assert "error [Unbalanced]" in err
+
+
+@pytest.mark.parametrize("command", [["info"], ["check-thm32", "--kmax", "2"],
+                                     ["critical-points"]])
+def test_repeated_ray_is_an_input_error(tmp_path, command):
+    # W keyed by ray would keep 3 of 4 terms, and Thm 3.2 would read FAIL
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({"rays": [[1, 0], [1, 0], [0, 1], [-1, -1]]}))
+    code, out, err = run_cli([command[0], str(path), *command[1:]])
+    assert code == 1
+    report = json.loads(out)
+    assert "checks" not in report
+    assert report["error"] == {"type": "RepeatedRay",
+                               "message": "ray (1, 0) is given more than once"}
+    assert "error [RepeatedRay]" in err
 
 
 def test_unknown_fixture_is_error():

@@ -12,6 +12,7 @@ from toricmirror.errors import (
     NonPrimitiveRay,
     NonSpanningRays,
     PointOutsidePolytope,
+    RepeatedRay,
     UnboundedPolytope,
 )
 from toricmirror.toric_core import (
@@ -114,6 +115,13 @@ def test_build_rejects_nonprimitive_and_zero_rays():
         build_toric_data([(2, 0), (0, 1), (-1, -1)])
     with pytest.raises(NonPrimitiveRay):
         build_toric_data([(0, 0), (0, 1), (-1, -1)])
+
+
+def test_build_rejects_repeated_rays():
+    with pytest.raises(RepeatedRay, match=r"ray \(1, 0\)"):
+        build_toric_data([(1, 0), (1, 0), (0, 1), (-1, -1)])
+    with pytest.raises(RepeatedRay, match=r"ray \(-1, -1\)"):
+        build_toric_data(P2_RAYS + [(-1, -1)])
 
 
 def test_build_rejects_nonspanning_rays():
