@@ -14,12 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from . import disc_algebra, fixtures, lg_model, quantum_ring, syz_transform, tropical
 from .errors import (
@@ -45,21 +44,27 @@ def _fmt_float(x):
 
 
 def jsonify(value):
-    """Deterministic JSON form: exact strings for rationals and floats."""
+    """Deterministic JSON form: exact strings for rationals and floats.
+
+    Numbers are told apart by the ``numbers`` ABCs, which numpy's scalar
+    types register with, so this module does not import numpy.  Containers
+    and the built-in types are tested first because an ABC check costs
+    several plain ones, and reports hold tens of thousands of values.
+    """
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(value)
-    if isinstance(value, (complex, np.complexfloating)):
-        return {"re": _fmt_float(value.real), "im": _fmt_float(value.imag)}
     if isinstance(value, dict):
         return {str(k): jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonify(v) for v in value]
+    if isinstance(value, (int, numbers.Integral)):
+        return int(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (float, numbers.Real)):
+        return _fmt_float(value)
+    if isinstance(value, (complex, numbers.Complex)):
+        return {"re": _fmt_float(value.real), "im": _fmt_float(value.imag)}
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -72,14 +77,20 @@ def load_input(source):
     """Named fixture or JSON document path -> validated toric data."""
     if source in fixtures.REGISTRY:
         return fixtures.fixture(source)
-    path = Path(source)
-    if not path.exists():
+    try:
+        text = Path(source).read_text(encoding="utf-8")
+    except (FileNotFoundError, NotADirectoryError):
         raise UnknownFixture(
             f"{source!r} is neither a registered fixture "
             f"({', '.join(fixtures.REGISTRY)}) nor a readable file"
-        )
+        ) from None
+    except OSError as exc:
+        raise ParseError(f"{source}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source}: not UTF-8 text: {exc.reason} "
+                         f"at byte {exc.start}") from None
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict):

@@ -6,14 +6,15 @@ Newton iteration in logarithmic coordinates u (z = exp(u)), which keeps
 iterates off the coordinate hyperplanes and makes deduplication well defined
 modulo 2*pi in each imaginary part.  All starts iterate together as one
 S x n batch with one batched linear solve per step.
+
+Only the float code (``critical_points`` and its helpers) imports numpy, so
+the exact commands that build W or its log derivatives never load it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     DegenerateSpectrum,
@@ -105,6 +106,8 @@ class CriticalPointSet:
 
 def _wrapped_distances(us, u):
     """Largest coordinate gap from each row of ``us`` to ``u``, modulo 2*pi i."""
+    import numpy as np
+
     dre = np.abs(us.real - u.real)
     dim = np.abs(us.imag - u.imag) % (2 * np.pi)
     return np.max(np.maximum(dre, np.minimum(dim, 2 * np.pi - dim)), axis=-1)
@@ -116,6 +119,8 @@ def _newton(rays, coeffs, u, config):
     A start fails when its exponents blow up, its residual stops being finite,
     its Jacobian is singular or it has not converged after ``max_iter`` steps.
     """
+    import numpy as np
+
     n = rays.shape[1]
     outer = (rays[:, :, None] * rays[:, None, :]).reshape(len(rays), n * n)
     active = np.arange(len(u))
@@ -153,6 +158,8 @@ def critical_points(w: Superpotential, q_numeric, config: SolverConfig):
     deterministic for a fixed seed.  Raises IncompleteRootSet unless exactly
     ``expected_count`` distinct roots are found.
     """
+    import numpy as np
+
     data = w.data
     n = data.n
     rays = np.array(data.rays, dtype=float)          # (d, n)

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 
-import numpy as np
-
 from . import _intlinalg as ila
 from .disc_algebra import (
     QLaurent,
@@ -425,6 +423,8 @@ def quotient_model(pres, q_rational):
 
 def multiplication_spectrum(model, p):
     """Eigenvalues (with multiplicity) of multiplication by p on the model."""
+    import numpy as np
+
     mat = model.multiplication_matrix(p)
     arr = np.array([[float(v) for v in row] for row in mat])
     eig = [complex(v) for v in np.linalg.eigvals(arr)]

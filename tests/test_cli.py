@@ -4,6 +4,7 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from toricmirror import cli
@@ -231,6 +232,14 @@ def test_unknown_fixture_is_error():
     assert json.loads(out)["error"]["type"] == "UnknownFixture"
 
 
+def test_path_below_a_file_is_unknown_fixture(tmp_path):
+    below = tmp_path / "plane.json"
+    below.write_text("{}")
+    code, out, _ = run_cli(["info", str(below / "x.json")])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "UnknownFixture"
+
+
 @pytest.mark.parametrize("command", ["phi", "check-prop21", "check-thm32"])
 def test_negative_kmax_is_parse_error(command):
     code, out, err = run_cli([command, "P2", "--kmax", "-1"])
@@ -275,6 +284,43 @@ def test_malformed_documents_are_parse_errors(tmp_path):
     code, out, _ = run_cli(["info", str(missing)])
     assert code != 0
     assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+def assert_unreadable_input(path, reason):
+    code, out, err = run_cli(["info", str(path)])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith(f"{path}: ") and reason in error["message"]
+    assert err == f"error [ParseError]: {error['message']}\n"
+
+
+def test_directory_input_is_parse_error(tmp_path):
+    assert_unreadable_input(tmp_path, "Is a directory")
+
+
+def test_overlong_file_name_is_parse_error(tmp_path):
+    assert_unreadable_input(tmp_path / ("x" * 300 + ".json"), "File name too long")
+
+
+def test_non_utf8_input_is_parse_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "caf\u00e9", "rays": [[1]]}'.encode("latin-1"))
+    assert_unreadable_input(path, "not UTF-8 text")
+
+
+def test_unreadable_input_is_parse_error(tmp_path, monkeypatch):
+    # a mode-000 file is still readable by root, so the refusal is simulated
+    import errno
+
+    path = tmp_path / "locked.json"
+    path.write_text("{}")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert_unreadable_input(path, "Permission denied")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -376,15 +422,53 @@ def test_subprocess_reports_are_byte_identical():
     assert first.stdout == second.stdout
 
 
-def test_cli_import_leaves_sympy_out():
-    # sympy is a test oracle only; it must not ride along with the CLI import
+EXACT_COMMANDS = ("info", "vertices", "superpotential", "phi", "check-prop21",
+                  "check-thm32", "presentation", "tropical")
+
+
+@pytest.mark.parametrize("module", ["sympy", "numpy"])
+def test_exact_commands_leave_module_out(module):
+    # sympy is a test oracle only and numpy is loaded only where a float is
+    # computed; neither may ride along with the CLI or an exact command
     import subprocess
     import sys
+    import textwrap
 
-    code = "import sys, toricmirror.cli; print('sympy' in sys.modules)"
+    code = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from toricmirror import cli
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            for command in {EXACT_COMMANDS!r}:
+                for name in ("P2", "BlP2"):
+                    cli.main([command, name])
+        print({module!r} in sys.modules)
+    """)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+NUMPY_SCALARS = [
+    (np.int64(-7), "-7"),
+    (np.uint64(2**64 - 1), "18446744073709551615"),
+    (np.float32(0.1), '"0.10000000149011612"'),
+    (np.float64(0.1), '"0.10000000000000001"'),
+    (np.complex64(1.5 - 0.25j), '{"re": "1.5", "im": "-0.25"}'),
+    (np.complex128(0.1 + 0.2j),
+     '{"re": "0.10000000000000001", "im": "0.20000000000000001"}'),
+]
+
+
+@pytest.mark.parametrize("value,expected", NUMPY_SCALARS,
+                         ids=[type(v).__name__ for v, _ in NUMPY_SCALARS])
+def test_jsonify_numpy_scalars(value, expected):
+    assert json.dumps(cli.jsonify(value)) == expected
+
+
+def test_jsonify_rejects_numpy_bool():
+    with pytest.raises(TypeError, match="cannot serialize bool"):
+        cli.jsonify(np.bool_(True))
 
 
 def test_cli_verify_iso_largest_fixture():
