@@ -13,16 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import numbers
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
 from . import disc_algebra, fixtures, lg_model, quantum_ring, syz_transform, tropical
 from .errors import (
-    DegenerateSpectrum,
     NotAProduct,
     ParseError,
     ToricMirrorError,
@@ -35,8 +32,6 @@ from .toric_core import (
     reference_lambda,
     vertex_count_reference,
 )
-
-GENERIC_Q = ("0.7", "0.2", "0.65", "0.25", "0.6", "0.3")
 
 
 def _fmt_float(x):
@@ -130,10 +125,13 @@ def load_input(source):
     )
 
 
+def _split_list(text):
+    return [p.strip() for p in str(text).split(",") if p.strip()]
+
+
 def _parse_fractions(text, what):
-    parts = [p.strip() for p in str(text).split(",") if p.strip()]
     try:
-        return [Fraction(p) for p in parts]
+        return [Fraction(p) for p in _split_list(text)]
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"cannot parse {what} {text!r}") from None
 
@@ -144,6 +142,13 @@ def _parse_q(text, l):
     vals = _parse_fractions(text, "parameter list")
     if any(v <= 0 for v in vals):
         raise ParseError("parameters must be positive")
+    for part, v in zip(_split_list(text), vals):
+        try:
+            in_range = float(v) > 0
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise ParseError(f"parameter {part} is outside the float range")
     if len(vals) == 1 and l > 1:
         vals = vals * l
     if len(vals) != l:
@@ -262,32 +267,13 @@ def _cmd_check_thm32(data, args):
     return checks, []
 
 
-def _solver_config(args, expected):
-    for flag in ("starts", "max_iter", "tol", "dedup_tol"):
-        value = getattr(args, flag)
-        if value is None:
-            continue
-        option = "--" + flag.replace("_", "-")
-        if not value > 0:
-            raise ParseError(f"{option} must be positive, got {value}")
-        if not math.isfinite(value):
-            raise ParseError(f"{option} must be finite, got {value}")
-    return lg_model.SolverConfig(
-        expected_count=expected,
-        starts=args.starts,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        dedup_tol=args.dedup_tol,
-        seed=args.seed,
-    )
-
-
 def _cmd_critical_points(data, args):
     q = _parse_q(args.q, data.l) or [Fraction(1)] * data.l
     qfl = [float(x) for x in q]
     expected = vertex_count_reference(data)
     w = lg_model.superpotential(data)
-    cps = lg_model.critical_points(w, qfl, _solver_config(args, expected))
+    config = lg_model.SolverConfig(expected_count=expected, seed=args.seed)
+    cps = lg_model.critical_points(w, qfl, config)
     worst = max(cps.residuals)
     details = {
         "q": q,
@@ -332,20 +318,8 @@ def _cmd_presentation(data, args):
 
 def _cmd_verify_iso(data, args):
     pres = quantum_ring.presentation_for(data)
-    q = _parse_q(args.q, data.l)
-    defaulted = q is None
-    if defaulted:
-        q = [Fraction(1)] * data.l
-    solver = _solver_config(args, vertex_count_reference(data))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = quantum_ring.verify_isomorphism(data, pres, q, solver=solver)
-        degenerate = any(isinstance(w.message, DegenerateSpectrum) for w in caught)
-    if defaulted and degenerate:
-        q = [Fraction(GENERIC_Q[a % len(GENERIC_Q)]) for a in range(data.l)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateSpectrum)
-            report = quantum_ring.verify_isomorphism(data, pres, q, solver=solver)
+    q = _parse_q(args.q, data.l) or [Fraction(1)] * data.l
+    report = quantum_ring.verify_isomorphism(data, pres, q, seed=args.seed)
     checks = []
     for c in report.checks:
         details = dict(c.details)
@@ -374,6 +348,10 @@ def _cmd_verify_iso(data, args):
 
 
 def _cmd_tropical(data, args):
+    if args.svg and data.n != 2:
+        raise ParseError(
+            f"--svg draws planar fans only; this input has rank {data.n}"
+        )
     factorization = quantum_ring.product_structure(data)
     if factorization is None:
         raise NotAProduct(
@@ -412,7 +390,7 @@ def _cmd_tropical(data, args):
         )
     artifacts = []
     if args.svg:
-        Path(args.svg).write_text(tropical.scene_svg(curves))
+        _write_text(args.svg, tropical.scene_svg(curves))
         artifacts.append(args.svg)
     return checks, artifacts
 
@@ -433,8 +411,7 @@ _HANDLERS = {
 
 def _parameters(args):
     out = {}
-    for key in ("kmax", "q", "seed", "starts", "max_iter", "tol", "dedup_tol",
-                "factor", "xi", "svg"):
+    for key in ("kmax", "q", "seed", "factor", "xi", "svg"):
         if hasattr(args, key) and getattr(args, key) is not None:
             out[key] = getattr(args, key)
     return out
@@ -474,10 +451,6 @@ def build_parser():
         p = add(name, help_text)
         p.add_argument("--q", help="comma-separated positive parameters (default: 1 each)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--starts", type=int)
-        p.add_argument("--max-iter", type=int, default=80, dest="max_iter")
-        p.add_argument("--tol", type=float, default=1e-12)
-        p.add_argument("--dedup-tol", type=float, default=1e-6, dest="dedup_tol")
 
     add("info", "validate the input and summarize its lattice data")
     p = add("vertices", "enumerate polytope vertices at numeric parameters")
@@ -499,11 +472,17 @@ def build_parser():
     return parser
 
 
-def _emit(document, args):
+def _write_text(path, text):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot write: {exc.strerror}") from None
+
+
+def _emit(document, out):
     text = json.dumps(document, indent=2) + "\n"
-    out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(text)
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
     if "error" in document:
@@ -516,21 +495,30 @@ def _emit(document, args):
             print(f"{check['name']}: {check['status'].upper()}", file=sys.stderr)
 
 
+def _error_document(args, exc):
+    return {
+        "command": args.command,
+        "input": getattr(args, "input", None),
+        "parameters": jsonify(_parameters(args)),
+        "error": {"type": type(exc).__name__, "message": str(exc)},
+    }
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        report = run(args)
+        document = run(args)
     except ToricMirrorError as exc:
-        error = {
-            "command": args.command,
-            "input": getattr(args, "input", None),
-            "parameters": jsonify(_parameters(args)),
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        _emit(error, args)
+        document = _error_document(args, exc)
+    try:
+        _emit(document, args.out)
+    except ParseError as exc:
+        # an unwritable --out: the error document goes to stdout instead
+        document = _error_document(args, exc)
+        _emit(document, None)
+    if "error" in document:
         return 1
-    _emit(report, args)
-    return 0 if all(c["status"] == "pass" for c in report["checks"]) else 1
+    return 0 if all(c["status"] == "pass" for c in document["checks"]) else 1
 
 
 if __name__ == "__main__":

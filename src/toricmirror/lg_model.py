@@ -5,7 +5,10 @@ Critical points of its logarithmic derivatives are found by multistart
 Newton iteration in logarithmic coordinates u (z = exp(u)), which keeps
 iterates off the coordinate hyperplanes and makes deduplication well defined
 modulo 2*pi in each imaginary part.  All starts iterate together as one
-S x n batch with one batched linear solve per step.
+S x n batch with one batched linear solve per step.  The Newton settings are
+fixed: 50 starts per expected root (``SolverConfig.start_count``), at most
+``MAX_ITER`` = 80 steps, convergence at residual ``TOL`` = 1e-12, and roots
+closer than ``DEDUP_TOL`` = 1e-6 in log coordinates are one root.
 
 Only the float code (``critical_points`` and its helpers) imports numpy, so
 the exact commands that build W or its log derivatives never load it.
@@ -79,17 +82,18 @@ def domain_membership(data, z, q_numeric):
     return True
 
 
+MAX_ITER = 80
+TOL = 1e-12
+DEDUP_TOL = 1e-6
+
+
 @dataclass
 class SolverConfig:
     expected_count: int
-    starts: int | None = None
-    max_iter: int = 80
-    tol: float = 1e-12
-    dedup_tol: float = 1e-6
     seed: int = 0
 
     def start_count(self):
-        return self.starts if self.starts is not None else 50 * self.expected_count
+        return 50 * self.expected_count
 
 
 @dataclass
@@ -113,11 +117,11 @@ def _wrapped_distances(us, u):
     return np.max(np.maximum(dre, np.minimum(dim, 2 * np.pi - dim)), axis=-1)
 
 
-def _newton(rays, coeffs, u, config):
+def _newton(rays, coeffs, u):
     """Iterate the S x n starts ``u`` in place, as one batch; mask of converged.
 
     A start fails when its exponents blow up, its residual stops being finite,
-    its Jacobian is singular or it has not converged after ``max_iter`` steps.
+    its Jacobian is singular or it has not converged after ``MAX_ITER`` steps.
     """
     import numpy as np
 
@@ -125,7 +129,7 @@ def _newton(rays, coeffs, u, config):
     outer = (rays[:, :, None] * rays[:, None, :]).reshape(len(rays), n * n)
     active = np.arange(len(u))
     done = np.zeros(len(u), dtype=bool)
-    for _ in range(config.max_iter):
+    for _ in range(MAX_ITER):
         if not active.size:
             break
         expo = u[active] @ rays.T                         # (S, d)
@@ -134,7 +138,7 @@ def _newton(rays, coeffs, u, config):
             t = coeffs * np.exp(expo)
             f = t @ rays                                  # (S, n)
         live &= np.all(np.isfinite(f), axis=1)
-        conv = live & (np.max(np.abs(f), axis=1) < config.tol)
+        conv = live & (np.max(np.abs(f), axis=1) < TOL)
         done[active[conv]] = True
         keep = live & ~conv
         jac = (t[keep] @ outer).reshape(-1, n, n)          # (S, n, n)
@@ -167,7 +171,7 @@ def critical_points(w: Superpotential, q_numeric, config: SolverConfig):
     rng = np.random.default_rng(config.seed)
     shape = (config.start_count(), n)
     u = rng.uniform(-3.0, 3.0, shape) + 1j * rng.uniform(0.0, 2 * np.pi, shape)
-    converged = u[_newton(rays, coeffs, u, config)]
+    converged = u[_newton(rays, coeffs, u)]
     failed = len(u) - len(converged)
     converged.imag %= 2 * np.pi
 
@@ -175,7 +179,7 @@ def critical_points(w: Superpotential, q_numeric, config: SolverConfig):
     while len(converged):
         root, converged = converged[0], converged[1:]
         roots.append(root)
-        converged = converged[_wrapped_distances(converged, root) >= config.dedup_tol]
+        converged = converged[_wrapped_distances(converged, root) >= DEDUP_TOL]
 
     if len(roots) != config.expected_count:
         raise IncompleteRootSet(
@@ -197,7 +201,7 @@ def critical_points(w: Superpotential, q_numeric, config: SolverConfig):
     )
 
     logs = np.array([rec[4] for rec in records]).reshape(len(records), n)
-    near = _wrapped_distances(logs[:, None], logs[None]) < 10 * config.dedup_tol
+    near = _wrapped_distances(logs[:, None], logs[None]) < 10 * DEDUP_TOL
     if np.count_nonzero(near) > np.count_nonzero(np.diag(near)):
         warnings.warn(
             "two critical points nearly coincide; spectra may be degenerate",

@@ -470,15 +470,16 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-def verify_isomorphism(data, pres, q_numeric, seed=0, solver=None):
-    """Three-part consistency check between the ring model and the mirror.
+def verify_isomorphism(data, pres, q_numeric, seed=0):
+    """Four consistency checks between the ring model and the mirror.
 
     (a) the linear generators map exactly onto the logarithmic derivatives of
     the superpotential; (b) the quantum generators vanish at every critical
-    point, both as exact Laurent images and after elimination; (c) for every
-    divisor class the multiplication spectrum on the quotient model matches
-    the multiset of monomial values at the critical points, and the model
-    dimension equals the critical-point count.
+    point, both as exact Laurent images and after elimination; (c) the model
+    dimension equals the critical-point count; (d) for every divisor class
+    the multiplication spectrum on the quotient model matches the multiset of
+    monomial values at the critical points.  The critical points come from
+    ``critical_points`` at its fixed Newton settings and the given ``seed``.
     """
     qfr = [x if isinstance(x, Fraction) else Fraction(str(x)) for x in q_numeric]
     qfl = [float(x) for x in qfr]
@@ -500,9 +501,7 @@ def verify_isomorphism(data, pres, q_numeric, seed=0, solver=None):
 
     model = quotient_model(pres, qfr)
     expected = vertex_count_reference(data)
-    if solver is None:
-        solver = SolverConfig(expected_count=expected, seed=seed)
-    cps = critical_points(w, qfl, solver)
+    cps = critical_points(w, qfl, SolverConfig(expected_count=expected, seed=seed))
 
     residuals = []
     for g in pres.quantum_gens:

@@ -177,6 +177,25 @@ def test_verify_iso_passes_and_is_deterministic():
     code2, out2, _ = run_cli(args)
     assert code1 == code2 == 0
     assert out1 == out2
+    # every check but the spectra echoes the q it ran at
+    checks = json.loads(out1)["checks"]
+    assert [c["details"]["q"] for c in checks[:-1]] == [["1"]] * 4
+
+
+@pytest.mark.parametrize("command", ["critical-points", "verify-iso"])
+def test_solver_reports_take_q_and_seed_only(command):
+    code, out, _ = run_cli([command, "P2", "--q", "1/2", "--seed", "3"])
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"q": "1/2", "seed": 3}
+
+
+@pytest.mark.parametrize("option", ["--starts=40", "--max-iter=5", "--tol=1e-9",
+                                    "--dedup-tol=1e-3"])
+def test_fixed_newton_settings_are_not_options(option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-iso", "P2", option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_tropical_product_and_svg(tmp_path):
@@ -187,6 +206,18 @@ def test_tropical_product_and_svg(tmp_path):
     assert report["artifacts"] == [str(svg_path)]
     assert svg_path.read_text().startswith("<svg")
     assert all(c["status"] == "pass" for c in report["checks"])
+
+
+def test_tropical_svg_of_a_non_planar_fan_is_parse_error(tmp_path):
+    svg_path = tmp_path / "scene.svg"
+    code, out, _ = run_cli(["tropical", "P1xP2", "--svg", str(svg_path)])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error == {
+        "type": "ParseError",
+        "message": "--svg draws planar fans only; this input has rank 3",
+    }
+    assert not svg_path.exists()
 
 
 def test_tropical_blowup_is_structured_error():
@@ -339,52 +370,22 @@ def test_json_booleans_are_not_numbers(tmp_path, field, value):
     assert error["type"] == "ParseError" and repr(field) in error["message"]
 
 
-@pytest.mark.parametrize("command", ["critical-points", "verify-iso"])
-@pytest.mark.parametrize("option,value", [
-    ("--starts", "-5"), ("--starts", "0"), ("--max-iter", "0"),
-    ("--tol", "0"), ("--tol", "-1e-3"), ("--tol", "nan"),
-])
-def test_nonpositive_solver_options_are_parse_errors(command, option, value):
-    code, out, err = run_cli([command, "P2", f"{option}={value}"])
-    assert code == 1
-    report = json.loads(out)
-    assert "checks" not in report
-    assert report["error"]["type"] == "ParseError"
-    assert option in report["error"]["message"]
-    assert "ParseError" in err
-
-
-@pytest.mark.parametrize("command", ["critical-points", "verify-iso"])
-@pytest.mark.parametrize("option", ["--tol", "--dedup-tol"])
-def test_infinite_tolerances_are_parse_errors(command, option):
-    code, out, _ = run_cli([command, "P2", f"{option}=inf"])
-    assert code == 1
-    error = json.loads(out)["error"]
-    assert error["type"] == "ParseError"
-    assert error["message"] == f"{option} must be finite, got inf"
-
-
-@pytest.mark.parametrize("command", ["critical-points", "verify-iso"])
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_nonpositive_dedup_tol_is_a_parse_error(command, value):
-    # in a child process, so that a regression to the old endless dedup loop
-    # fails on the timeout instead of hanging the suite
-    import subprocess
-    import sys
-
-    out = subprocess.run(
-        [sys.executable, "-m", "toricmirror", command, "P2", f"--dedup-tol={value}"],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert out.returncode == 1
-    error = json.loads(out.stdout)["error"]
-    assert error["type"] == "ParseError" and "--dedup-tol" in error["message"]
-
-
 def test_invalid_input_data_is_structured():
     code, out, _ = run_cli(["vertices", "P2", "--q", "0"])
     assert code != 0
     assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("command", ["critical-points", "verify-iso", "vertices"])
+@pytest.mark.parametrize("value", ["1e400", "1e-400"])
+def test_q_outside_the_float_range_is_parse_error(command, value):
+    code, out, _ = run_cli([command, "P2", "--q", value])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error == {
+        "type": "ParseError",
+        "message": f"parameter {value} is outside the float range",
+    }
 
 
 def test_out_file(tmp_path):
@@ -395,20 +396,18 @@ def test_out_file(tmp_path):
     assert json.loads(target.read_text())["command"] == "info"
 
 
-def test_verify_iso_default_q_shifts_on_degenerate_spectrum():
-    # a coarse dedup tolerance makes the q = 1 run report near-coincident
-    # points, so the command reruns at the generic parameter point
-    code, out, _ = run_cli(["verify-iso", "P2", "--dedup-tol", "0.25"])
-    assert code == 0
-    checks = json.loads(out)["checks"]
-    assert [c["details"]["q"] for c in checks[:-1]] == [["7/10"]] * 4
-
-
-def test_verify_iso_explicit_q_is_not_shifted():
-    code, out, _ = run_cli(["verify-iso", "P2", "--q", "1", "--dedup-tol", "0.25"])
-    assert code == 0
-    checks = json.loads(out)["checks"]
-    assert [c["details"]["q"] for c in checks[:-1]] == [["1"]] * 4
+@pytest.mark.parametrize("target,reason", [
+    ("missing/report.json", "No such file or directory"),
+    (".", "Is a directory"),
+])
+@pytest.mark.parametrize("option", ["--out", "--svg"])
+def test_unwritable_output_path_is_parse_error(tmp_path, target, reason, option):
+    path = tmp_path / target
+    code, out, err = run_cli(["tropical", "P1xP1", option, str(path)])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error == {"type": "ParseError", "message": f"{path}: cannot write: {reason}"}
+    assert "ParseError" in err
 
 
 def test_subprocess_reports_are_byte_identical():
