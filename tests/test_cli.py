@@ -177,8 +177,13 @@ def test_verify_iso_passes_and_is_deterministic():
     code2, out2, _ = run_cli(args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_verify_iso_explicit_q_is_not_shifted():
     # every check but the spectra echoes the q it ran at
-    checks = json.loads(out1)["checks"]
+    code, out, _ = run_cli(["verify-iso", "P2", "--q", "1"])
+    assert code == 0
+    checks = json.loads(out)["checks"]
     assert [c["details"]["q"] for c in checks[:-1]] == [["1"]] * 4
 
 
