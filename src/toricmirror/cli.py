@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import disc_algebra, fixtures, lg_model, quantum_ring, syz_transform, tropical
 from .errors import (
+    DegeneratePolytope,
     NotAProduct,
     ParseError,
     ToricMirrorError,
@@ -196,10 +197,21 @@ def _cmd_info(data, args):
     return [_check("input-valid", True, details)], []
 
 
+KAHLER_CONE_HINT = ("the polytope has an interior only for q in the Kahler cone "
+                    "(every q_a < 1 lies in it on the registered fixtures)")
+
+
 def _cmd_vertices(data, args):
     q = _parse_q(args.q, data.l)
     lam = reference_lambda(data) if q is None else lambda_from_q(data, q)
-    verts = polytope_vertices(data, lam)
+    try:
+        verts = polytope_vertices(data, lam)
+    except DegeneratePolytope as exc:
+        if q is None:
+            raise
+        raise DegeneratePolytope(
+            f"{exc} at q = {','.join(map(str, q))}: {KAHLER_CONE_HINT}"
+        ) from None
     details = {
         "count": len(verts),
         "vertices": [[str(c) for c in v] for v in verts],
@@ -454,7 +466,8 @@ def build_parser():
 
     add("info", "validate the input and summarize its lattice data")
     p = add("vertices", "enumerate polytope vertices at numeric parameters")
-    p.add_argument("--q", help="comma-separated positive parameters (default: e^-1 each)")
+    p.add_argument("--q", help="comma-separated positive parameters (default: e^-1 each); "
+                   + KAHLER_CONE_HINT)
     add("superpotential", "emit the mirror Laurent function")
     p = add("phi", "emit the disc-count generating series")
     p.add_argument("--kmax", type=int, default=6)

@@ -3,11 +3,17 @@
 Every sparse "exponent tuple -> coefficient" map of the package is a
 ``SparseTerms`` subclass sharing one merge (``add_into``) and one
 exponent-adding product (``product``).  The product works on flattened keys,
-a nested coefficient {e: c} at v being the term c at the key v + e, and
-multiplies integer numerators over one common denominator per factor.  The
-class-indexed builds (``to_admissible``, ``exp_superpotential``,
-``substitute_divisors``) key each disc class by one pass over the columns
-of [rays | lambda_exponents] and nest the same way (``nest``).  The maps:
+a nested coefficient {e: c} at v being the term c at the key v + e, packs
+each flattened key into one ``int`` (mixed radices sized from the operands'
+coordinate ranges, so packed keys add without carries) and multiplies
+integer numerators over one common denominator per factor.  Disc classes
+come from one walk, ``disc_classes``, which extends each class from its
+prefix and so carries its key sum_i k_i rows[i] and its weight
+k_1! ... k_d! forward one coordinate at a time; ``disc_series`` walks with
+identity rows (the key is k itself) and ``exp_superpotential`` with the
+rows [v_i | E_i] (``facet_rows``).  ``to_admissible`` and ``substitute_divisors``
+key arbitrary classes from their nonzero parts (``row_sums``), and all three
+class-indexed builds nest the same way (``nest``).  The maps:
 
 * ``QLaurent`` -- Laurent polynomials in the Kahler parameters q_1..q_l with
   rational coefficients; the common coefficient ring.
@@ -57,11 +63,15 @@ def product(p, q):
 
     A one-term factor shifts the other's keys and scales its coefficients.
     Otherwise nested coefficients are flattened, ``{v: {e: c}}`` to
-    ``{v + e: c}``, each side is written as integer numerators over its
-    lcm denominator, the numerators are multiplied and summed as ``int``,
-    and every nonzero sum is divided once and nested again.  Both maps hold
-    coefficients of one kind: ``int``/``Fraction``, or ``SparseTerms`` over
-    them.
+    ``{v + e: c}``, and each side is written as integer numerators over its
+    lcm denominator.  Every flattened key is packed into one ``int``, its
+    coordinates read as digits in mixed radices wide enough for the sum of
+    both operands' coordinate ranges, so adding two packed keys adds the
+    exponent vectors without carries (Monagan-Pearce packed exponents).  The
+    pair loop is one ``int`` add and one numerator multiply-add; every
+    nonzero sum is unpacked once, divided once and nested again.  Both maps
+    hold coefficients of one kind: ``int``/``Fraction``, or ``SparseTerms``
+    over them.
     """
     if not p or not q:
         return {}
@@ -70,16 +80,30 @@ def product(p, q):
     if len(p) == 1:
         ((e1, c1),) = p.items()
         return {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in q.items()}
-    fp, den_p = _numerators(p)
-    fq, den_q = _numerators(q)
+    keys_p, nums_p, den_p = _numerators(p)
+    keys_q, nums_q, den_q = _numerators(q)
+    fields, weight = [], 1
+    for col_p, col_q in zip(zip(*keys_p), zip(*keys_q)):
+        low_p, low_q = min(col_p), min(col_q)
+        radix = max(col_p) - low_p + max(col_q) - low_q + 1
+        fields.append((weight, radix, low_p + low_q))
+        weight *= radix
+    weights = [w for w, _, _ in fields]
+    # q's keys carry the offset, so a packed sum's digits start at 0
+    offset = sum(w * low for w, _, low in fields)
+    packed_q = [(sum(map(mul, k, weights)) - offset, b) for k, b in zip(keys_q, nums_q)]
     acc = {}
     get = acc.get
-    for k1, a in fp:
-        for k2, b in fq:
-            k = tuple(map(add, k1, k2))
+    for key, a in zip(keys_p, nums_p):
+        k1 = sum(map(mul, key, weights))
+        for k2, b in packed_q:
+            k = k1 + k2
             acc[k] = get(k, 0) + a * b
     den = den_p * den_q
-    flat = ((k, Fraction(c, den)) for k, c in acc.items() if c)
+    flat = (
+        (tuple([k // w % radix + low for w, radix, low in fields]), Fraction(c, den))
+        for k, c in acc.items() if c
+    )
     inner = next(iter(p.values()))
     if isinstance(inner, SparseTerms):
         return nest(flat, len(next(iter(p))), type(inner))
@@ -87,15 +111,17 @@ def product(p, q):
 
 
 def _numerators(terms):
-    """Flattened (key, integer numerator) pairs and their common denominator."""
-    flat = []
-    for v, c in terms.items():
-        if isinstance(c, SparseTerms):
-            flat.extend((v + e, x) for e, x in c.terms.items())
-        else:
-            flat.append((v, c))
-    den = math.lcm(*(c.denominator for _, c in flat))
-    return [(k, c.numerator * (den // c.denominator)) for k, c in flat], den
+    """Flattened keys, their integer numerators and the common denominator."""
+    if isinstance(next(iter(terms.values())), SparseTerms):
+        keys, coeffs = [], []
+        for v, c in terms.items():
+            for e, x in c.terms.items():
+                keys.append(v + e)
+                coeffs.append(x)
+    else:
+        keys, coeffs = list(terms), list(terms.values())
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return keys, [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def nest(pairs, m, inner):
@@ -270,8 +296,6 @@ def divisor_function(data, i, power=1):
     ``power=+1`` puts e^{lambda_i} at v_i; ``power=-1`` puts e^{-lambda_i} at
     -v_i, the convolution inverse.
     """
-    if not 0 <= i < data.d:
-        raise IndexOutOfRange(f"no facet with index {i}")
     if power not in (1, -1):
         raise IndexOutOfRange("power must be +1 or -1")
     return divisor_power(data, i, power)
@@ -279,6 +303,8 @@ def divisor_function(data, i, power=1):
 
 def divisor_power(data, i, k):
     """k-fold convolution power of the facet-i function, k in Z."""
+    if not 0 <= i < data.d:
+        raise IndexOutOfRange(f"no facet with index {i}")
     if k == 0:
         return unit(data)
     v = tuple(k * c for c in data.rays[i])
@@ -289,27 +315,6 @@ def divisor_power(data, i, k):
 def convolve(f, g):
     """Lattice convolution (f*g)_v = sum_{v1+v2=v} f_{v1} g_{v2}."""
     return f * g
-
-
-def iter_disc_classes(d, max_total):
-    """All k in Z^d_{>=0} with sum k_i <= max_total."""
-    def rec(slots, remaining):
-        if slots == 0:
-            yield ()
-            return
-        for first in range(remaining + 1):
-            for rest in rec(slots - 1, remaining - first):
-                yield (first,) + rest
-
-    return rec(d, max_total)
-
-
-def class_weight(k):
-    """k_1! ... k_d!, the symmetry weight of a disc class."""
-    w = 1
-    for part in k:
-        w *= math.factorial(part)
-    return w
 
 
 class DiscSeries(SparseTerms):
@@ -344,6 +349,53 @@ class DiscSeries(SparseTerms):
         }
 
 
+def facet_rows(data):
+    """Rows [v_i | E_i] of the d x (n + l) matrix [rays | lambda_exponents].
+
+    The key of a disc class k, its boundary class sum_i k_i v_i followed by
+    its q-exponents sum_i k_i E_i, is sum_i k_i [v_i | E_i].
+    """
+    return [tuple(v) + tuple(e) for v, e in zip(data.rays, data.lambda_exponents)]
+
+
+def disc_classes(rows, max_total):
+    """(sum_i k_i rows[i], 1/(k_1! ... k_d!)) for k in Z^d_{>=0}, sum k_i <= max_total.
+
+    The classes come in lexicographic order of k.  They are built one
+    coordinate at a time, each class extending its prefix: raising k_i by one
+    adds rows[i] to the key and multiplies the weight by the new k_i.  Equal
+    weights share one Fraction.
+    """
+    level = [((0,) * len(rows[0]), 1, max_total)]
+    for row in rows:
+        longer = []
+        append = longer.append
+        for key, weight, left in level:
+            append((key, weight, left))
+            for j in range(1, left + 1):
+                key = tuple(map(add, key, row))
+                weight *= j
+                append((key, weight, left - j))
+        level = longer
+    inverse = {w: Fraction(1, w) for w in {w for _, w, _ in level}}
+    return [(key, inverse[w]) for key, w, _ in level]
+
+
+def row_sums(rows, classes):
+    """sum_i k_i rows[i] for each class k, summed over its nonzero parts only."""
+    multiples = [{} for _ in rows]
+    zero = (0,) * len(rows[0])
+    for k in classes:
+        key = None
+        for i, ki in enumerate(k):
+            if ki:
+                part = multiples[i].get(ki)
+                if part is None:
+                    part = multiples[i][ki] = tuple(ki * x for x in rows[i])
+                key = part if key is None else tuple(map(add, key, part))
+        yield zero if key is None else key
+
+
 def disc_series(data, max_total):
     """Disc-count generating series through total degree ``max_total``.
 
@@ -353,19 +405,8 @@ def disc_series(data, max_total):
     """
     if max_total < 0:
         raise ValueError("truncation order must be nonnegative")
-    return DiscSeries._wrap(
-        {k: Fraction(1, class_weight(k)) for k in iter_disc_classes(data.d, max_total)}
-    )
-
-
-def class_columns(data):
-    """Columns of the d x (n + l) matrix [rays | lambda_exponents]."""
-    return tuple(zip(*map(add, data.rays, data.lambda_exponents)))
-
-
-def class_key(columns, k):
-    """Boundary class sum_i k_i v_i followed by the q-exponents of class k."""
-    return tuple(sum(map(mul, col, k)) for col in columns)
+    identity = [tuple(int(j == i) for j in range(data.d)) for i in range(data.d)]
+    return DiscSeries._wrap(dict(disc_classes(identity, max_total)))
 
 
 def group_classes(pairs, n):
@@ -375,19 +416,20 @@ def group_classes(pairs, n):
 
 def to_admissible(series, data):
     """Group disc classes by boundary class, summing exact q-coefficients."""
-    columns = class_columns(data)
-    return AdmissibleFunction._wrap(group_classes(
-        ((class_key(columns, k), c) for k, c in series.terms.items()), data.n
-    ))
+    keys = row_sums(facet_rows(data), series.terms)
+    return AdmissibleFunction._wrap(
+        group_classes(zip(keys, series.terms.values()), data.n)
+    )
 
 
 def q_log_derivative(series, a, data):
     """Apply q_a d/dq_a classwise: multiply class k by its q_a-exponent."""
     if not 0 <= a < data.l:
         raise IndexOutOfRange(f"no Kahler parameter with index {a}")
+    facets = [(i, e[a]) for i, e in enumerate(data.lambda_exponents) if e[a]]
     out = {}
     for k, c in series.terms.items():
-        weight = sum(k[i] * data.lambda_exponents[i][a] for i in range(data.d))
+        weight = sum(k[i] * e for i, e in facets)
         if weight:
             out[k] = c * weight
     return DiscSeries._wrap(out)

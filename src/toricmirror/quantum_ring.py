@@ -28,12 +28,12 @@ from .disc_algebra import (
     QLaurent,
     SparseTerms,
     add_into,
-    class_columns,
-    class_key,
+    facet_rows,
     flat_json,
     group_classes,
     nonnegative_key,
     product,
+    row_sums,
 )
 from .errors import (
     ClassNotReducible,
@@ -228,11 +228,9 @@ def presentation_for(data, factorization=None):
 
 def substitute_divisors(p, data):
     """Image of a divisor polynomial under D_i -> e^{lambda_i} z^{v_i}."""
-    columns = class_columns(data)
     pad = (0,) * data.n
     pairs = []
-    for m, coeff in p.terms.items():
-        key = class_key(columns, m)
+    for key, coeff in zip(row_sums(facet_rows(data), p.terms), p.terms.values()):
         pairs.extend((tuple(map(add, key, pad + e)), c) for e, c in coeff.terms.items())
     return ZLaurent._wrap(group_classes(pairs, data.n))
 

@@ -11,17 +11,13 @@ is in the truncated identity checked by ``exp_superpotential``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .disc_algebra import (
     AdmissibleFunction,
     SparseTerms,
-    class_columns,
-    class_key,
-    class_weight,
+    disc_classes,
+    facet_rows,
     flat_json,
     group_classes,
-    iter_disc_classes,
 )
 
 
@@ -69,8 +65,4 @@ def exp_superpotential(data, max_total):
     """
     if max_total < 0:
         raise ValueError("truncation order must be nonnegative")
-    columns = class_columns(data)
-    return ZLaurent._wrap(group_classes((
-        (class_key(columns, k), Fraction(1, class_weight(k)))
-        for k in iter_disc_classes(data.d, max_total)
-    ), data.n))
+    return ZLaurent._wrap(group_classes(disc_classes(facet_rows(data), max_total), data.n))

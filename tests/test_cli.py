@@ -43,6 +43,29 @@ def test_vertices_default_and_explicit_q():
     assert json.loads(out)["checks"][0]["details"]["count"] == 3
 
 
+@pytest.mark.parametrize("name,q,reason", [
+    ("P2", "1", "polytope has empty interior at q = 1"),
+    ("P2", "2", "facet inequalities have no solution at q = 2"),
+    ("BlP2", "1", "polytope has empty interior at q = 1,1"),
+    ("P1xP2", "3/2,1/2", "facet inequalities have no solution at q = 3/2,1/2"),
+])
+def test_degenerate_polytope_names_q_and_the_kahler_cone(name, q, reason):
+    code, out, err = run_cli(["vertices", name, "--q", q])
+    assert code == 1
+    message = (f"{reason}: the polytope has an interior only for q in the Kahler cone "
+               "(every q_a < 1 lies in it on the registered fixtures)")
+    assert json.loads(out)["error"] == {"type": "DegeneratePolytope", "message": message}
+    assert err == f"error [DegeneratePolytope]: {message}\n"
+
+
+def test_vertices_q_help_names_the_kahler_cone():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit, match="0"):
+        cli.main(["vertices", "--help"])
+    out = out.getvalue()
+    assert "q in the Kahler cone (every q_a < 1 lies in it on the registered" in " ".join(out.split())
+
+
 def test_superpotential_terms():
     code, out, _ = run_cli(["superpotential", "BlP2"])
     assert code == 0

@@ -114,6 +114,14 @@ def test_divisor_function_index_errors():
         tm.divisor_function(data, 0, power=2)
 
 
+@pytest.mark.parametrize("i", [-1, 3, -4])
+@pytest.mark.parametrize("k", [0, 2, -1])
+def test_divisor_power_index_errors(i, k):
+    # a negative index must not wrap around to a facet counted from the end
+    with pytest.raises(IndexOutOfRange, match=f"no facet with index {i}"):
+        tm.divisor_power(data_for("P2"), i, k)
+
+
 # --- convolution laws --------------------------------------------------------
 
 def test_unit_is_two_sided_identity_random():

@@ -1,5 +1,7 @@
-"""The integer-numerator product and the class grouping against the loops they replaced."""
+"""The packed-key product and the class walk against the loops they replaced."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -112,7 +114,75 @@ def test_cancelled_boundary_class_is_absent():
     assert got == reference_product(p, {(1, 0): c, (0, 0): d})
 
 
-# --- class-indexed builds against the per-class loops --------------------------
+def random_wide_map(rng, width, spread, size, nested):
+    terms = {}
+    for _ in range(size):
+        key = tuple(rng.randint(-spread, spread) for _ in range(width))
+        terms[key] = random_qlaurent(rng, 2) if nested else random_rational(rng)
+    return terms
+
+
+@pytest.mark.parametrize("width", [1, 2, 8])
+@pytest.mark.parametrize("nested", [False, True], ids=["plain", "nested"])
+def test_packed_product_far_apart_exponents(width, nested):
+    # exponents near +-10^6 and keys of length 1 and 8 pack without carries
+    rng = random.Random(f"wide-{width}-{nested}")
+    for _ in range(20):
+        p, q = (random_wide_map(rng, width, 10**6, rng.randint(2, 6), nested)
+                for _ in range(2))
+        assert_same_product(p, q)
+        # clustered at opposite ends, so every coordinate sum lands near 0
+        far = {tuple(x // 1000 + 10**6 for x in k): c for k, c in p.items()}
+        near = {tuple(x // 1000 - 10**6 for x in k): c for k, c in q.items()}
+        assert_same_product(far, near)
+    # the two pairs landing on 0 cancel, the extreme pairs stay
+    low, high, one = (-10**6,) * width, (10**6,) * width, (1,) * width
+    p = {low: Fraction(1, 3), one: 2}
+    q = {high: 3, (-1,) * width: Fraction(-1, 2)}
+    assert da.product(p, q) == {
+        (-10**6 - 1,) * width: Fraction(-1, 6), (10**6 + 1,) * width: 6}
+
+
+def test_packed_product_that_cancels_to_empty():
+    # Laurent polynomials have no zero divisors, so a product is {} only when
+    # every pair's numerator is 0: zero coefficients left in a plain dict
+    q = {(1, -4): 3, (-2, 0): Fraction(1, 2), (0, 0): Fraction(-5, 7)}
+    for p in ({(0, 0): 0, (3, 1): Fraction(0)}, {(0, 0): Fraction(0), (-9, 9): 0}):
+        assert da.product(p, q) == da.product(q, p) == reference_product(p, q) == {}
+    # every output key but the outer two cancels: (1 - x)(1 + x + ... + x^5)
+    p = {(0,): 1, (1,): -1}
+    q = {(j,): 1 for j in range(6)}
+    assert da.product(p, q) == reference_product(p, q) == {(0,): 1, (6,): -1}
+
+
+# --- the class walk and the class-indexed builds against per-class loops -------
+
+def brute_force_classes(d, max_total):
+    """(k, 1/(k_1! ... k_d!)) for k in Z^d_{>=0}, sum k <= max_total, lexicographic."""
+    return [
+        (k, Fraction(1, math.prod(map(math.factorial, k))))
+        for k in itertools.product(range(max_total + 1), repeat=d)
+        if sum(k) <= max_total
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_class_walk_matches_brute_force(d):
+    rng = random.Random(f"walk-{d}")
+    identity = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    rows = [tuple(rng.randint(-3, 3) for _ in range(5)) for _ in range(d)]
+    for order in range(6):
+        want = brute_force_classes(d, order)
+        # identity rows: the key is the class itself, in the same order
+        assert da.disc_classes(identity, order) == want
+        # any rows: the key is sum_i k_i rows[i], the weight unchanged
+        keyed = [
+            (tuple(sum(k[i] * row[j] for i, row in enumerate(rows)) for j in range(5)), c)
+            for k, c in want
+        ]
+        assert da.disc_classes(rows, order) == keyed
+        assert list(da.row_sums(rows, [k for k, _ in want])) == [key for key, _ in keyed]
+
 
 def old_boundary_class(data, k):
     return tuple(sum(k[i] * data.rays[i][j] for i in range(data.d)) for j in range(data.n))
