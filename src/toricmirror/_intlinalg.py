@@ -1,12 +1,13 @@
 """Exact linear algebra for the small dense matrices used here.
 
 Integer matrices (lists of row lists of Python ints) get one unimodular
-column (Hermite) reduction, ``column_echelon``, behind kernel bases, the
-surjectivity test and integer solving; rational systems get one Fraction
-reduced-row-echelon routine, ``rref``, behind inverse, solve and unimodular
-inverse.  Every
-matrix here is desk scale (dimensions at most ~10), so clarity beats
-asymptotics.
+column (Hermite) reduction, ``column_echelon``, behind kernel bases and the
+surjectivity test, and one fraction-free (Bareiss) Gauss-Jordan reduction,
+``cramer``, which gives a square block's determinant and its adjugate times
+the augmented block in plain ints.  Rational systems get one Fraction
+reduced-row-echelon routine, ``rref``, behind inverse and unimodular
+inverse.  Every matrix here is desk scale (dimensions at most ~12), so
+clarity beats asymptotics.
 """
 
 from fractions import Fraction
@@ -111,47 +112,32 @@ def is_surjective(mat):
     return abs(prod) == 1
 
 
-def solve_integer(mat, rhs):
-    """One integer solution x of mat @ x == rhs, or None if there is none."""
-    n = len(mat)
-    d = len(mat[0]) if n else 0
-    pivots, h, u = column_echelon(mat)
-    resid = list(rhs)
-    y = [0] * d
-    # Pivot columns vanish on all earlier rows, so substitution runs forward.
-    for row, col in pivots:
-        p = h[col][row]
-        if resid[row] % p:
-            return None
-        t = resid[row] // p
-        if t:
-            y[col] = t
-            for r in range(n):
-                resid[r] -= t * h[col][r]
-    if any(resid):
-        return None
-    return [sum(u[c][i] * y[c] for c in range(d)) for i in range(d)]
+def cramer(rows, n):
+    """Fraction-free Gauss-Jordan reduction of integer rows [A | B], A n x n.
 
-
-def det(mat):
-    """Determinant of a square integer matrix (Bareiss elimination)."""
-    n = len(mat)
-    a = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
+    Returns (det A, adj(A) @ B) as plain ints, so A^{-1} B is the second
+    item over the first; (0, None) when A is singular.  Every intermediate
+    entry is a minor of [A | B] (Bareiss, Math. Comp. 22, 1968), so each
+    division by the previous pivot is exact.
+    """
+    a = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
+        top = a[k]
+        p = top[k]
+        for i in range(n):
+            f = a[i][k]
+            if i != k and (f or p != prev):
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+    # now a == [p I | p A^{-1} B] with p = sign * det A
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def rref(rows, ncols):
@@ -181,31 +167,14 @@ def rref(rows, ncols):
     return pivots
 
 
-def _reduce_augmented(mat, extra):
-    """Block ``extra`` of the row-reduced [mat | extra] for square ``mat``.
-
-    Returns None when ``mat`` is singular, i.e. has fewer than n pivots.
-    """
+def inverse(mat):
+    """Exact rational inverse of a square matrix, or None if it is singular."""
     n = len(mat)
-    rows = [[Fraction(v) for v in mat[r]] + [Fraction(v) for v in extra[r]]
+    rows = [[Fraction(v) for v in mat[r]] + [Fraction(int(c == r)) for c in range(n)]
             for r in range(n)]
     if len(rref(rows, n)) < n:
         return None
     return [row[n:] for row in rows]
-
-
-def inverse(mat):
-    """Exact rational inverse of a square matrix, or None if it is singular."""
-    n = len(mat)
-    return _reduce_augmented(
-        mat, [[1 if c == r else 0 for c in range(n)] for r in range(n)]
-    )
-
-
-def solve(mat, rhs):
-    """The unique rational x with mat @ x == rhs, or None if mat is singular."""
-    reduced = _reduce_augmented(mat, [[v] for v in rhs])
-    return None if reduced is None else [row[0] for row in reduced]
 
 
 def unimodular_inverse(mat):

@@ -43,6 +43,10 @@ class IndexOutOfRange(ToricMirrorError):
     """A ray or parameter index is out of range."""
 
 
+class WrongParameterCount(ToricMirrorError):
+    """The number of Kahler parameter values differs from l = d - n."""
+
+
 # --- mirror side ---------------------------------------------------------
 
 class ZeroCoordinate(ToricMirrorError):

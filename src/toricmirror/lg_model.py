@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .errors import (
     DegenerateSpectrum,
     IncompleteRootSet,
+    WrongParameterCount,
     ZeroCoordinate,
 )
 from .disc_algebra import QLaurent
@@ -37,6 +38,10 @@ class Superpotential:
 
     def coefficients(self, q_numeric):
         """Numeric coefficient of each ray's term at positive q."""
+        if len(q_numeric) != self.data.l:
+            raise WrongParameterCount(
+                f"expected {self.data.l} parameter value(s), got {len(q_numeric)}"
+            )
         return [self.terms.terms[v].evaluate(q_numeric) for v in self.data.rays]
 
 

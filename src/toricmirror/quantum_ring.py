@@ -12,8 +12,11 @@ gets that example's built-in relations.  A finite-dimensional
 quotient model is built at exact rational q: one row reduction of the linear
 relations writes every divisor variable as a linear form in the free ones,
 and a reduced Groebner basis of the quantum relations in those variables
-gives the standard monomials.  Multiplication spectra on that model are
-compared with point evaluations at the critical points of the superpotential.
+gives the standard monomials.  Multiplication by each of the l free
+variables is built once as a sparse exact operator; each divisor's
+multiplication is the combination its linear form gives.  Its spectrum,
+from a float array filled at the nonzero entries only, is compared with
+point evaluations at the critical points of the superpotential.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .errors import (
     DimensionUnstable,
     EmptyQuotient,
     NotAProduct,
+    WrongParameterCount,
 )
 from .fixtures import blowup_p2
 from .lg_model import (
@@ -308,6 +312,9 @@ class QuotientModel:
     Built by eliminating the linear relations exactly and computing a reduced
     grevlex Groebner basis of the quantum ones at exact rational q.  The basis
     is the set of standard monomials in the remaining l divisor variables.
+    Multiplication by each free variable is built once, column by column, as
+    sparse {row: coefficient} maps; every other operator is a polynomial in
+    those, applied exactly.
     """
 
     def __init__(self, basis, free_indices, forms, groebner, qvals):
@@ -318,6 +325,20 @@ class QuotientModel:
         self.qvals = qvals
         self.degree_cap = max((sum(a) for a, _ in groebner), default=0)
         self.l = len(free_indices)
+        index = {m: r for r, m in enumerate(basis)}
+        self.operators = tuple(              # per free variable, per column
+            tuple(self._coordinates(tuple(e + (s == t) for t, e in enumerate(b)), index)
+                  for b in basis)
+            for s in range(self.l)
+        )
+
+    def _coordinates(self, monomial, index):
+        out = {}
+        for m, c in self.normal_form({monomial: Fraction(1)}).items():
+            if m not in index:
+                raise ClassNotReducible("normal form left the basis span")
+            out[index[m]] = c
+        return out
 
     @property
     def dim(self):
@@ -331,18 +352,35 @@ class QuotientModel:
         """Reduce a free-variable polynomial to its basis representative."""
         return _remainder(poly, self.groebner)
 
+    def multiplication_entries(self, p):
+        """Nonzero entries {(row, col): c} of multiplication by p on the basis."""
+        reduced = self.reduce_divisor_poly(p)
+        entries = {}
+        for col in range(self.dim):
+            acc = {}
+            for m, c in reduced.items():
+                vec = {col: c}
+                for s, e in enumerate(m):
+                    for _ in range(e):
+                        vec = _apply(self.operators[s], vec)
+                add_into(acc, vec.items())
+            entries.update(((row, col), c) for row, c in acc.items() if c)
+        return entries
+
     def multiplication_matrix(self, p):
         """Exact matrix of multiplication by p on the quotient basis."""
-        reduced = self.reduce_divisor_poly(p)
-        index = {m: r for r, m in enumerate(self.basis)}
         mat = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for col, b in enumerate(self.basis):
-            nf = self.normal_form(product(reduced, {b: Fraction(1)}))
-            for m, c in nf.items():
-                if m not in index:
-                    raise ClassNotReducible("normal form left the basis span")
-                mat[index[m]][col] = c
+        for (row, col), c in self.multiplication_entries(p).items():
+            mat[row][col] = c
         return mat
+
+
+def _apply(operator, vec):
+    """Sparse column maps applied to a sparse {index: coefficient} vector."""
+    out = {}
+    for k, c in vec.items():
+        add_into(out, ((row, c * x) for row, x in operator[k].items()))
+    return out
 
 
 def _linear_substitution(linear_gens, d):
@@ -399,6 +437,8 @@ def quotient_model(pres, q_rational):
     qvals = tuple(Fraction(x) for x in q_rational)
     free, forms = _linear_substitution(pres.linear_gens, pres.d)
     l = len(free)
+    if len(qvals) != l:
+        raise WrongParameterCount(f"expected {l} parameter value(s), got {len(qvals)}")
     groebner = groebner_basis(_eliminate(g, forms, qvals, l) for g in pres.quantum_gens)
     leads = [lead for lead, _ in groebner]
     if leads and not any(leads[0]):  # the ascending basis starts at 1
@@ -423,8 +463,9 @@ def multiplication_spectrum(model, p):
     """Eigenvalues (with multiplicity) of multiplication by p on the model."""
     import numpy as np
 
-    mat = model.multiplication_matrix(p)
-    arr = np.array([[float(v) for v in row] for row in mat])
+    arr = np.zeros((model.dim, model.dim))
+    for (row, col), c in model.multiplication_entries(p).items():
+        arr[row, col] = c.numerator / c.denominator  # what float(c) computes
     eig = [complex(v) for v in np.linalg.eigvals(arr)]
     return sorted(eig, key=lambda zc: (zc.real, zc.imag))
 

@@ -7,11 +7,14 @@ two parallel forms:
 * exact, as monomials in the Kahler parameters q_1..q_l (``lambda_exponents``
   holds the exponent vector E_i of e^{lambda_i} = prod_a q_a^{E_ia}), used by
   the exact convolution algebra; and
-* numeric, as optional real values, used by the polytope and critical-point
-  code.
+* numeric, as optional real values (``lambda_numeric``), checked against
+  the monomials when given and read by no command: the polytope code takes
+  its constants from ``reference_lambda`` (q_a = e^{-1}) or ``lambda_from_q``.
 
 Writing Q for the d x l kernel basis of the ray map, consistency between the
 two forms means Q^T E = Id, i.e. prod_i (e^{lambda_i})^{Q_ia} = q_a.
+Polytope vertices are enumerated in integer arithmetic, one fraction-free
+elimination per n-subset of facets; only the vertices become Fractions.
 """
 
 from __future__ import annotations
@@ -243,33 +246,68 @@ def _unbounded_direction(rays, n):
     return None
 
 
+def _raise_if_unbounded(rays, n):
+    u = _unbounded_direction(rays, n)
+    if u is not None:
+        raise UnboundedPolytope(f"direction {u} satisfies every facet inequality")
+
+
+def _has_unbounded_edge(rays, subset):
+    # The edge directions at the basis ``subset`` are the columns of the
+    # inverse of its normal matrix, i.e. of the adjugate times sign(det).
+    n = len(subset)
+    rows = [rays[i] + tuple(int(c == k) for c in range(n)) for k, i in enumerate(subset)]
+    det, adj = ila.cramer(rows, n)
+    sign = 1 if det > 0 else -1
+    return any(
+        all(sign * sum(adj[j][k] * v[j] for j in range(n)) >= 0 for v in rays)
+        for k in range(n)
+    )
+
+
 def polytope_vertices(data, lambda_numeric):
     """All vertices of {x : <x, v_i> >= lambda_i}, in exact arithmetic.
 
-    Every n-subset of facets with invertible normal matrix is solved over
-    the rationals and kept when it satisfies the remaining inequalities.
-    Returns a sorted tuple of Fraction n-tuples.
+    The facet constants are scaled to integers by the lcm of their
+    denominators.  Each n-subset of facets is solved by fraction-free
+    elimination (determinant D > 0 after a sign flip, integer numerators N)
+    and kept when sum_j N_j v_ij >= lambda_i D on every facet, in plain
+    ints; only the vertices become Fractions.
+
+    The rays span, so the region is pointed: it is unbounded exactly when
+    some feasible basis has an edge direction that pairs nonnegatively with
+    every ray.  Only then, or when no vertex exists or the number of
+    constants is wrong, does the direction scan run, so UnboundedPolytope
+    keeps its precedence and its message.  Returns a sorted tuple of
+    Fraction n-tuples.
     """
-    n, d = data.n, data.d
-    u = _unbounded_direction(data.rays, n)
-    if u is not None:
-        raise UnboundedPolytope(f"direction {u} satisfies every facet inequality")
-    lam = [x if isinstance(x, Fraction) else Fraction(x) for x in lambda_numeric]
+    n, d, rays = data.n, data.d, data.rays
+    try:
+        lam = [x if isinstance(x, Fraction) else Fraction(x) for x in lambda_numeric]
+    except (TypeError, ValueError, OverflowError):
+        _raise_if_unbounded(rays, n)
+        raise
     if len(lam) != d:
+        _raise_if_unbounded(rays, n)
         raise DegeneratePolytope(f"need {d} facet constants")
+    scale = math.lcm(*(x.denominator for x in lam))
+    scaled = [x.numerator * (scale // x.denominator) for x in lam]
     vertices = set()
     for subset in itertools.combinations(range(d), n):
-        sol = ila.solve(
-            [data.rays[i] for i in subset], [lam[i] for i in subset]
-        )
-        if sol is None:
+        det, nums = ila.cramer([rays[i] + (scaled[i],) for i in subset], n)
+        if not det:
             continue
+        sign = 1 if det > 0 else -1
+        det, nums = sign * det, [sign * row[0] for row in nums]
         if all(
-            sum(sol[j] * data.rays[i][j] for j in range(n)) >= lam[i]
-            for i in range(d)
+            sum(nj * vj for nj, vj in zip(nums, v)) >= b * det
+            for v, b in zip(rays, scaled)
         ):
-            vertices.add(tuple(sol))
+            vertices.add(tuple(Fraction(nj, det * scale) for nj in nums))
+            if _has_unbounded_edge(rays, subset):
+                _raise_if_unbounded(rays, n)
     if not vertices:
+        _raise_if_unbounded(rays, n)
         raise DegeneratePolytope("facet inequalities have no solution")
     centroid = [
         sum(v[j] for v in vertices) / Fraction(len(vertices)) for j in range(n)

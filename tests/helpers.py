@@ -4,6 +4,7 @@ import cmath
 from fractions import Fraction
 
 import toricmirror as tm
+from toricmirror import _intlinalg as ila
 
 FIXTURE_NAMES = ("P2", "P1xP1", "P1xP2", "P2xP2", "BlP2")
 PRODUCT_NAMES = ("P2", "P1xP1", "P1xP2", "P2xP2")
@@ -29,6 +30,32 @@ def solve(name, q, seed=0):
         )
         _SOLVES[key] = tm.critical_points(w, list(key[1]), cfg)
     return _SOLVES[key]
+
+
+def solve_integer(mat, rhs):
+    """One integer solution x of mat @ x == rhs, or None if there is none.
+
+    Forward substitution through ``column_echelon``: an oracle for kernel
+    bases and Z-basis checks.
+    """
+    n = len(mat)
+    d = len(mat[0]) if n else 0
+    pivots, h, u = ila.column_echelon(mat)
+    resid = list(rhs)
+    y = [0] * d
+    # Pivot columns vanish on all earlier rows, so substitution runs forward.
+    for row, col in pivots:
+        p = h[col][row]
+        if resid[row] % p:
+            return None
+        t = resid[row] // p
+        if t:
+            y[col] = t
+            for r in range(n):
+                resid[r] -= t * h[col][r]
+    if any(resid):
+        return None
+    return [sum(u[c][i] * y[c] for c in range(d)) for i in range(d)]
 
 
 def product_data(dims):

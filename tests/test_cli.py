@@ -112,6 +112,29 @@ def test_phi_report_is_pinned(name, kmax):
     assert hashlib.sha256(out.encode()).hexdigest() == PHI_DIGESTS[name, kmax]
 
 
+# sha256 of the whole stdout of `vertices <input>` without --q: the exact
+# reference polytope (integer facet constants) that the expected
+# critical-point count comes from
+VERTICES_DIGESTS = {
+    "P2": "025bff4556c7d9e6cc75d01dc138d1fe8df1968e43929cbba7dbdec4d02cd83a",
+    "P1xP1": "23571650199d191b0187fa0cc0e8a1e13a3dc342d92383155a66ce36ae2ffbe0",
+    "P1xP2": "9d3a42f17653cdab6c6f7d7c649bd9dd931fea345479927efb44b3da861cdb4b",
+    "P2xP2": "cc61748fe6a293c288971e8c7e697df8420dba23968ce5f08138b5f13d234a0d",
+    "BlP2": "b41c75efce815c5a368ce89bbb1bd159bfb1e0f0ea9b4f315f94eff9781128fa",
+    "perfbench/inputs/blp2_rays.json":
+        "dd400676023f70218c9157133de66dbf296c9e8b966ad674015fbeb94fe5a16f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERTICES_DIGESTS))
+def test_vertices_report_is_pinned(name, monkeypatch):
+    # the report echoes the input as given, so run from the repository root
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    code, out, _ = run_cli(["vertices", name])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERTICES_DIGESTS[name]
+
+
 # sha256 of the whole stdout of `check-prop21 <name> --kmax 6` and
 # `check-thm32 <name> --kmax 8`, the reports the exact product feeds
 CHECK_KMAX = {"check-prop21": 6, "check-thm32": 8}

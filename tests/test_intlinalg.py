@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from toricmirror import _intlinalg as ila
+
+from helpers import solve_integer
 
 
 def test_exgcd_bezout_small_range():
@@ -30,7 +33,7 @@ def test_column_echelon_factors_matrix():
             for c in range(d):
                 assert h[c][r] == sum(mat[r][k] * u[c][k] for k in range(d))
         # U unimodular
-        assert ila.det([[u[c][i] for c in range(d)] for i in range(d)]) in (1, -1)
+        assert ila.cramer([[u[c][i] for c in range(d)] for i in range(d)], d)[0] in (1, -1)
         # echelon: zero to the right of each pivot in its row
         for row, col in pivots:
             assert h[col][row] > 0
@@ -54,7 +57,7 @@ def test_integer_kernel_matches_bruteforce():
         for k in box:
             if any(sum(mat[r][i] * k[i] for i in range(d)) for r in range(n)):
                 continue
-            sol = ila.solve_integer(stacked, list(k)) if basis else (
+            sol = solve_integer(stacked, list(k)) if basis else (
                 None if any(k) else []
             )
             assert sol is not None, (mat, k, basis)
@@ -63,7 +66,7 @@ def test_integer_kernel_matches_bruteforce():
 def test_solve_integer_roundtrip():
     mat = [[1, 0, -1, 0], [0, 1, -1, -1]]
     for rhs in ((1, 0), (0, 1), (3, -2)):
-        sol = ila.solve_integer(mat, list(rhs))
+        sol = solve_integer(mat, list(rhs))
         assert sol is not None
         assert tuple(
             sum(mat[r][i] * sol[i] for i in range(4)) for r in range(2)
@@ -71,8 +74,8 @@ def test_solve_integer_roundtrip():
 
 
 def test_det_and_unimodular_inverse():
-    assert ila.det([[1, 2], [3, 4]]) == -2
-    assert ila.det([[2]]) == 2
+    assert ila.cramer([[1, 2], [3, 4]], 2) == (-2, [[], []])
+    assert ila.cramer([[2]], 1) == (2, [[]])
     m = [[1, -1], [0, 1]]
     inv = ila.unimodular_inverse(m)
     assert inv == [[1, 1], [0, 1]]
@@ -94,7 +97,13 @@ def test_rational_inverse_random():
             for r in range(n) for c in range(n)
         )
         rhs = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
-        sol = ila.solve(mat, rhs)
+        # the same system with each row cleared of denominators, in plain ints
+        scale = [math.lcm(*(v.denominator for v in row)) for row in mat]
+        det, nums = ila.cramer(
+            [[int(v * s) for v in row] + [int(b * s)]
+             for row, b, s in zip(mat, rhs, scale)], n
+        )
+        sol = [Fraction(row[0], det) for row in nums]
         assert [sum(mat[r][k] * sol[k] for k in range(n)) for r in range(n)] == rhs
         checked += 1
 
@@ -102,7 +111,7 @@ def test_rational_inverse_random():
 def test_singular_matrix_has_no_inverse_or_solution():
     mat = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert ila.inverse(mat) is None
-    assert ila.solve(mat, [1, 2, 0]) is None
+    assert ila.cramer([row + [b] for row, b in zip(mat, [1, 2, 0])], 3) == (0, None)
     assert ila.unimodular_inverse(mat) is None
 
 
@@ -112,3 +121,34 @@ def test_rref_pivot_columns_of_rank_deficient_matrix():
             ([1, 2, 0, 1], [0, 0, 1, 1], [1, 2, 1, 2])]
     assert ila.rref(rows, 4) == [0, 2]
     assert rows == [[1, 2, 0, 1], [0, 0, 1, 1], [0, 0, 0, 0]]
+
+
+def _leibniz_det(mat):
+    n = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total += (-1) ** inversions * math.prod(mat[r][perm[r]] for r in range(n))
+    return total
+
+
+def test_cramer_gives_determinant_and_adjugate():
+    # oracles: the Leibniz sum, and det * (Fraction inverse) for the adjugate
+    rng = random.Random(17)
+    singular = 0
+    for _ in range(200):
+        n, m = rng.randint(1, 5), rng.randint(0, 3)
+        mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        extra = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
+        det, block = ila.cramer([row + ext for row, ext in zip(mat, extra)], n)
+        assert det == _leibniz_det(mat)
+        inv = ila.inverse(mat)
+        if inv is None:
+            assert block is None
+            singular += 1
+            continue
+        assert block == [
+            [det * sum(inv[r][k] * extra[k][c] for k in range(n)) for c in range(m)]
+            for r in range(n)
+        ]
+    assert 0 < singular < 200

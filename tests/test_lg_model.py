@@ -10,6 +10,7 @@ from toricmirror import disc_algebra as da
 from toricmirror.errors import (
     DegenerateSpectrum,
     IncompleteRootSet,
+    WrongParameterCount,
     ZeroCoordinate,
 )
 from toricmirror import lg_model
@@ -199,6 +200,13 @@ def test_missing_root_error_is_loud():
     w = tm.superpotential(data)
     with pytest.raises(IncompleteRootSet):
         critical_points(w, [1.0], SolverConfig(expected_count=5, seed=0))
+
+
+@pytest.mark.parametrize("q", [[0.5], [0.5, 0.5, 0.5]])
+def test_wrong_number_of_parameters_is_rejected(q):
+    w = tm.superpotential(data_for("P1xP1"))
+    with pytest.raises(WrongParameterCount, match=f"got {len(q)}"):
+        critical_points(w, q, SolverConfig(expected_count=4, seed=0))
 
 
 def test_solver_deterministic_for_fixed_seed():

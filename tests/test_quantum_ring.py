@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,15 +11,16 @@ import pytest
 import toricmirror as tm
 from toricmirror import _intlinalg as ila
 from toricmirror import quantum_ring as qr
-from toricmirror.disc_algebra import QLaurent
+from toricmirror.disc_algebra import QLaurent, product
 from toricmirror.errors import (
     DimensionUnstable,
     EmptyQuotient,
     NotAProduct,
+    WrongParameterCount,
 )
 from toricmirror.syz_transform import ZLaurent
 
-from helpers import croots, data_for, multiset_distance, product_data
+from helpers import FIXTURE_NAMES, croots, data_for, multiset_distance, product_data
 
 
 def dpoly(pairs, l):
@@ -283,6 +285,53 @@ def test_spectrum_of_unit_class():
     model = qr.quotient_model(qr.presentation_for(data), [Fraction(1)])
     one = dpoly([((0, 0, 0), 1)], 1)
     assert multiset_distance(qr.multiplication_spectrum(model, one), [1, 1, 1]) < 1e-12
+
+
+def _normal_form_matrix(model, p):
+    """Multiplication by p assembled column by column from NF(p * b)."""
+    reduced = model.reduce_divisor_poly(p)
+    index = {m: r for r, m in enumerate(model.basis)}
+    mat = [[Fraction(0)] * model.dim for _ in range(model.dim)]
+    for col, b in enumerate(model.basis):
+        for m, c in model.normal_form(product(reduced, {b: Fraction(1)})).items():
+            mat[index[m]][col] = c
+    return mat
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ("P2^3",))
+def test_divisor_matrices_and_spectra_match_normal_forms(name):
+    # the operator-built matrices equal the normal-form ones entry for entry,
+    # and the spectra are eigvals of exactly their float(Fraction) arrays
+    data = product_data([2] * 3) if name == "P2^3" else data_for(name)
+    rng = random.Random(41)
+    q = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(data.l)]
+    pres = qr.presentation_for(data)
+    model = qr.quotient_model(pres, q)
+    report = qr.verify_isomorphism(data, pres, q, seed=1)
+    assert report.ok
+    for i in range(data.d):
+        cls = qr.DivisorPolynomial.variable(data.d, i, data.l)
+        expected = _normal_form_matrix(model, cls)
+        assert model.multiplication_matrix(cls) == expected
+        spectrum = qr.multiplication_spectrum(model, cls)
+        assert report.spectra[i]["eigenvalues"] == spectrum
+        arr = np.array([[float(v) for v in row] for row in expected])
+        eig = sorted((complex(v) for v in np.linalg.eigvals(arr)),
+                     key=lambda zc: (zc.real, zc.imag))
+        assert spectrum == eig
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_wrong_number_of_parameters_is_rejected(count):
+    # a short q used to be zipped away (q_2 read as 1), a long one truncated
+    data = data_for("P1xP1")
+    pres = qr.presentation_for(data)
+    q = [Fraction(1, 2)] * count
+    message = f"expected 2 parameter value\\(s\\), got {count}"
+    with pytest.raises(WrongParameterCount, match=message):
+        qr.quotient_model(pres, q)
+    with pytest.raises(WrongParameterCount, match=message):
+        qr.verify_isomorphism(data, pres, q)
 
 
 # --- failure modes -----------------------------------------------------------

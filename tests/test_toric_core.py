@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from toricmirror.errors import (
     NonSpanningRays,
     PointOutsidePolytope,
     RepeatedRay,
+    ToricMirrorError,
     UnboundedPolytope,
 )
 from toricmirror.toric_core import (
@@ -23,9 +25,10 @@ from toricmirror.toric_core import (
     lambda_from_q,
     polytope_vertices,
     reference_lambda,
+    vertex_count_reference,
 )
 
-from helpers import FIXTURE_NAMES, data_for
+from helpers import FIXTURE_NAMES, data_for, product_data, solve_integer
 
 P2_RAYS = [(1, 0), (0, 1), (-1, -1)]
 QUAD_RAYS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
@@ -43,12 +46,10 @@ def test_kernel_basis_quad_matches_bruteforce():
     assert basis == [(1, 1, 0, 0), (0, 0, 1, 1)]
     # oracle: brute-force kernel vectors over a small box are spanned
     stacked = [[col[i] for col in basis] for i in range(4)]
-    import itertools
-
     for k in itertools.product(range(-2, 3), repeat=4):
         if (k[0] - k[1], k[2] - k[3]) != (0, 0):
             continue
-        assert ila.solve_integer(stacked, list(k)) is not None
+        assert solve_integer(stacked, list(k)) is not None
 
 
 def test_kernel_basis_blowup_default():
@@ -100,11 +101,11 @@ def test_kernel_property_random_spanning_sets():
             )
         # genuine Z-basis: completing with preimages of the unit vectors is unimodular
         preimages = [
-            ila.solve_integer(mat, [1 if r == j else 0 for r in range(n)])
+            solve_integer(mat, [1 if r == j else 0 for r in range(n)])
             for j in range(n)
         ]
         square = [list(col) for col in basis] + preimages
-        assert abs(ila.det(square)) == 1
+        assert abs(ila.cramer(square, d)[0]) == 1
         produced += 1
 
 
@@ -235,11 +236,124 @@ def test_vertices_unbounded_and_degenerate():
     half = build_toric_data([(1, 0), (0, 1), (-1, 0)])  # misses -e2 direction
     with pytest.raises(UnboundedPolytope):
         polytope_vertices(half, [0, 0, -1])
+    # an unbounded fan is named before the constants are even read
+    with pytest.raises(UnboundedPolytope):
+        polytope_vertices(half, [0, float("nan"), -1])
     data = data_for("P2")
     with pytest.raises(DegeneratePolytope):
         polytope_vertices(data, [0, 0, 0])  # single point
     with pytest.raises(DegeneratePolytope):
         polytope_vertices(data, [0, 0, 1])  # empty
+
+
+def _reference_unbounded_direction(rays, n):
+    # extreme candidates of {u : <u, v_i> >= 0}: kernels of (n-1)-subsets
+    if n == 1:
+        for u in ((1,), (-1,)):
+            if all(u[0] * v[0] >= 0 for v in rays):
+                return u
+        return None
+    for subset in itertools.combinations(range(len(rays)), n - 1):
+        for g in ila.integer_kernel([list(rays[i]) for i in subset]):
+            if not any(g):
+                continue
+            for u in (g, tuple(-c for c in g)):
+                if all(sum(u[j] * v[j] for j in range(n)) >= 0 for v in rays):
+                    return u
+    return None
+
+
+def _reference_vertices(data, lambda_numeric):
+    """Oracle: a Fraction rref solve of every n-subset of facets, after a scan
+    of every (n-1)-subset's integer kernel for an unbounded direction."""
+    n, d = data.n, data.d
+    u = _reference_unbounded_direction(data.rays, n)
+    if u is not None:
+        raise UnboundedPolytope(f"direction {u} satisfies every facet inequality")
+    lam = [x if isinstance(x, Fraction) else Fraction(x) for x in lambda_numeric]
+    if len(lam) != d:
+        raise DegeneratePolytope(f"need {d} facet constants")
+    vertices = set()
+    for subset in itertools.combinations(range(d), n):
+        rows = [[Fraction(c) for c in data.rays[i]] + [lam[i]] for i in subset]
+        if len(ila.rref(rows, n)) < n:
+            continue
+        sol = [row[n] for row in rows]
+        if all(
+            sum(sol[j] * data.rays[i][j] for j in range(n)) >= lam[i]
+            for i in range(d)
+        ):
+            vertices.add(tuple(sol))
+    if not vertices:
+        raise DegeneratePolytope("facet inequalities have no solution")
+    centroid = [sum(v[j] for v in vertices) / len(vertices) for j in range(n)]
+    if not all(
+        sum(centroid[j] * data.rays[i][j] for j in range(n)) > lam[i]
+        for i in range(d)
+    ):
+        raise DegeneratePolytope("polytope has empty interior")
+    return tuple(sorted(vertices))
+
+
+def _outcome(fn, data, lam):
+    try:
+        return fn(data, lam)
+    except ToricMirrorError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_fan(rng, complete):
+    # a complete fan starts from P^n's rays, whose positive hull is all of R^n
+    while True:
+        n = rng.randint(2, 4)
+        rays = set()
+        if complete:
+            rays.update(tuple(int(c == j) for c in range(n)) for j in range(n))
+            rays.add((-1,) * n)
+        while len(rays) < rng.randint(n + 1, n + 3):
+            v = tuple(rng.randint(-2, 2) for _ in range(n))
+            if any(v) and math.gcd(*v) == 1:
+                rays.add(v)
+        try:
+            return build_toric_data(sorted(rays))
+        except ToricMirrorError:  # not spanning, or no default facet monomials
+            continue
+
+
+def test_vertices_match_fraction_reference_on_random_inputs():
+    rng = random.Random(2024)
+    kinds = {"vertices": 0, "UnboundedPolytope": 0, "no solution": 0,
+             "empty interior": 0, "need": 0}
+    for case in range(360):
+        data = _random_fan(rng, complete=case % 12 < 8)
+        style = case % 6
+        if style == 0:
+            lam = [rng.randint(-3, 1) for _ in range(data.d)]
+        elif style == 1:
+            lam = [Fraction(rng.randint(-6, 2), rng.randint(1, 4)) for _ in range(data.d)]
+        elif style == 2:
+            lam = [rng.uniform(-3.0, 0.5) for _ in range(data.d)]
+        elif style == 3:
+            lam = [0] * data.d  # a single point when the fan is complete
+        elif style == 4:
+            lam = [rng.randint(0, 3) for _ in range(data.d)]  # mostly empty
+        else:
+            lam = [Fraction(-1)] * (data.d + rng.choice((-1, 1)))
+        got = _outcome(polytope_vertices, data, lam)
+        assert got == _outcome(_reference_vertices, data, lam), (data.rays, lam)
+        if isinstance(got[0], tuple):
+            kinds["vertices"] += 1
+        else:
+            kind = next(k for k in kinds if k in got[0] or k in got[1])
+            kinds[kind] += 1
+    assert all(count >= 10 for count in kinds.values()), kinds
+
+
+@pytest.mark.parametrize("dims,count", [((1,) * 5, 32), ((2,) * 4, 81)])
+def test_reference_vertex_counts_at_scale(dims, count):
+    data = product_data(dims)
+    assert len(_reference_vertices(data, reference_lambda(data))) == count
+    assert vertex_count_reference(data) == count
 
 
 # --- disc areas --------------------------------------------------------------
