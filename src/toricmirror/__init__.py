@@ -11,7 +11,6 @@ from .toric_core import (
     ToricFanoData,
     build_toric_data,
     disc_area,
-    kahler_params,
     kernel_basis,
     lambda_from_q,
     polytope_vertices,

@@ -113,16 +113,10 @@ def load_input(source):
                 for row in block
             ):
                 raise ParseError(f"{source}: field {field!r} must be a list of integer lists")
-    if "lambda_numeric" in doc and (
-        not isinstance(doc["lambda_numeric"], list)
-        or any(not (_is_int(x) or isinstance(x, float)) for x in doc["lambda_numeric"])
-    ):
-        raise ParseError(f"{source}: field 'lambda_numeric' must be a list of numbers")
     return build_toric_data(
         rays,
         lambda_exponents=doc.get("lambda_monomials"),
         kbasis=doc.get("kbasis"),
-        lambda_numeric=doc.get("lambda_numeric"),
     )
 
 

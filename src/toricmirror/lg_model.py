@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from .errors import (
     DegenerateSpectrum,
     IncompleteRootSet,
-    WrongParameterCount,
     ZeroCoordinate,
 )
 from .disc_algebra import QLaurent
 from .syz_transform import ZLaurent
+from .toric_core import q_vector
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,8 @@ class Superpotential:
 
     def coefficients(self, q_numeric):
         """Numeric coefficient of each ray's term at positive q."""
-        if len(q_numeric) != self.data.l:
-            raise WrongParameterCount(
-                f"expected {self.data.l} parameter value(s), got {len(q_numeric)}"
-            )
-        return [self.terms.terms[v].evaluate(q_numeric) for v in self.data.rays]
+        q = q_vector(q_numeric, self.data.l)
+        return [self.terms.terms[v].evaluate(q) for v in self.data.rays]
 
 
 def superpotential(data) -> Superpotential:

@@ -43,7 +43,6 @@ from .errors import (
     DimensionUnstable,
     EmptyQuotient,
     NotAProduct,
-    WrongParameterCount,
 )
 from .fixtures import blowup_p2
 from .lg_model import (
@@ -54,7 +53,7 @@ from .lg_model import (
     superpotential,
 )
 from .syz_transform import ZLaurent
-from .toric_core import vertex_count_reference
+from .toric_core import q_vector, vertex_count_reference
 
 
 class DivisorPolynomial(SparseTerms):
@@ -198,23 +197,18 @@ def _blowup_relations(l):
     )
 
 
-def _lattice_data(data):
-    return data.rays, data.kbasis, data.lambda_exponents
-
-
 def presentation_for(data, factorization=None):
     """Ring presentation chosen from the fan's data.
 
     A product fan gets its computed quantum relations.  An input whose rays,
     kernel basis and facet monomials equal the blowup example's gets that
-    example's built-in relations (``lambda_numeric`` is not compared: it
-    only fixes a numeric representative).  Anything else raises NotAProduct.
+    example's built-in relations.  Anything else raises NotAProduct.
     """
     if factorization is None:
         factorization = product_structure(data)
     if factorization is not None:
         quantum, provenance = quantum_sr_ideal(data, factorization), "computed-product"
-    elif _lattice_data(data) == _lattice_data(blowup_p2()):
+    elif data == blowup_p2():
         quantum, provenance = _blowup_relations(data.l), "builtin-example"
     else:
         raise NotAProduct(
@@ -434,11 +428,9 @@ def quotient_model(pres, q_rational):
     Certified by the Groebner basis: a constant in it raises EmptyQuotient, a
     variable without a pure-power leading monomial raises DimensionUnstable.
     """
-    qvals = tuple(Fraction(x) for x in q_rational)
     free, forms = _linear_substitution(pres.linear_gens, pres.d)
     l = len(free)
-    if len(qvals) != l:
-        raise WrongParameterCount(f"expected {l} parameter value(s), got {len(qvals)}")
+    qvals = q_vector(map(Fraction, q_rational), l)
     groebner = groebner_basis(_eliminate(g, forms, qvals, l) for g in pres.quantum_gens)
     leads = [lead for lead, _ in groebner]
     if leads and not any(leads[0]):  # the ascending basis starts at 1

@@ -2,17 +2,13 @@
 
 A toric Fano input is a list of primitive integer rays spanning Z^n together
 with facet constants lambda_1..lambda_d.  The facet constants are carried in
-two parallel forms:
+one exact form, as monomials in the Kahler parameters q_1..q_l:
+``lambda_exponents`` holds the exponent vector E_i of
+e^{lambda_i} = prod_a q_a^{E_ia}.  Numeric constants are derived from it on
+demand, by ``reference_lambda`` (q_a = e^{-1}) or ``lambda_from_q``.
 
-* exact, as monomials in the Kahler parameters q_1..q_l (``lambda_exponents``
-  holds the exponent vector E_i of e^{lambda_i} = prod_a q_a^{E_ia}), used by
-  the exact convolution algebra; and
-* numeric, as optional real values (``lambda_numeric``), checked against
-  the monomials when given and read by no command: the polytope code takes
-  its constants from ``reference_lambda`` (q_a = e^{-1}) or ``lambda_from_q``.
-
-Writing Q for the d x l kernel basis of the ray map, consistency between the
-two forms means Q^T E = Id, i.e. prod_i (e^{lambda_i})^{Q_ia} = q_a.
+Writing Q for the d x l kernel basis of the ray map, the monomials are
+consistent when Q^T E = Id, i.e. prod_i (e^{lambda_i})^{Q_ia} = q_a.
 Polytope vertices are enumerated in integer arithmetic, one fraction-free
 elimination per n-subset of facets; only the vertices become Fractions.
 """
@@ -36,6 +32,7 @@ from .errors import (
     PointOutsidePolytope,
     RepeatedRay,
     UnboundedPolytope,
+    WrongParameterCount,
 )
 
 
@@ -50,7 +47,6 @@ class ToricFanoData:
     rays: tuple[tuple[int, ...], ...]
     kbasis: tuple[tuple[int, ...], ...]            # l columns, each of length d
     lambda_exponents: tuple[tuple[int, ...], ...]  # d rows, each of length l
-    lambda_numeric: tuple[float, ...] | None = None
 
     @property
     def d(self) -> int:
@@ -122,7 +118,7 @@ def _check_lambda_consistency(kbasis, exps, d, l):
                 )
 
 
-def build_toric_data(rays, lambda_exponents=None, kbasis=None, lambda_numeric=None):
+def build_toric_data(rays, lambda_exponents=None, kbasis=None):
     """Validate the input data and assemble a ToricFanoData.
 
     Rays must be nonzero, primitive, pairwise distinct and span Z^n.  The
@@ -174,43 +170,25 @@ def build_toric_data(rays, lambda_exponents=None, kbasis=None, lambda_numeric=No
             raise InconsistentLambda(f"need {d} exponent vectors of length {l}")
         _check_lambda_consistency(kcols, exps, d, l)
 
-    if lambda_numeric is not None:
-        lam = tuple(float(x) for x in lambda_numeric)
-        if len(lam) != d:
-            raise InconsistentLambda(f"need {d} numeric facet constants")
-        # the numeric vector must be the representative the monomials describe
-        q = [math.exp(sum(kcols[a][i] * lam[i] for i in range(d))) for a in range(l)]
-        for i in range(d):
-            expected = sum(exps[i][a] * math.log(q[a]) for a in range(l))
-            if abs(lam[i] - expected) > 1e-9:
-                raise InconsistentLambda(
-                    "numeric facet constants disagree with the facet monomials; "
-                    "pass the gauge-aligned representative or omit them"
-                )
-    else:
-        lam = None
-
     return ToricFanoData(
         n=n,
         rays=rays,
         kbasis=tuple(kcols),
         lambda_exponents=exps,
-        lambda_numeric=lam,
     )
 
 
-def kahler_params(data, lambda_numeric):
-    """Positive parameters q_a = exp(sum_i Q_ia lambda_i)."""
-    lam = [float(x) for x in lambda_numeric]
-    return tuple(
-        math.exp(sum(data.kbasis[a][i] * lam[i] for i in range(data.d)))
-        for a in range(data.l)
-    )
+def q_vector(q_values, l):
+    """The q-values as a tuple, checked to hold one value per Kahler parameter."""
+    q = tuple(q_values)
+    if len(q) != l:
+        raise WrongParameterCount(f"expected {l} parameter value(s), got {len(q)}")
+    return q
 
 
 def lambda_from_q(data, q_numeric):
     """Numeric facet constants matching the facet monomials at the given q."""
-    logs = [math.log(float(x)) for x in q_numeric]
+    logs = [math.log(float(x)) for x in q_vector(q_numeric, data.l)]
     return tuple(
         sum(data.lambda_exponents[i][a] * logs[a] for a in range(data.l))
         for i in range(data.d)
@@ -265,7 +243,7 @@ def _has_unbounded_edge(rays, subset):
     )
 
 
-def polytope_vertices(data, lambda_numeric):
+def polytope_vertices(data, lam):
     """All vertices of {x : <x, v_i> >= lambda_i}, in exact arithmetic.
 
     The facet constants are scaled to integers by the lcm of their
@@ -283,7 +261,7 @@ def polytope_vertices(data, lambda_numeric):
     """
     n, d, rays = data.n, data.d, data.rays
     try:
-        lam = [x if isinstance(x, Fraction) else Fraction(x) for x in lambda_numeric]
+        lam = [x if isinstance(x, Fraction) else Fraction(x) for x in lam]
     except (TypeError, ValueError, OverflowError):
         _raise_if_unbounded(rays, n)
         raise
@@ -326,14 +304,14 @@ def vertex_count_reference(data):
     return len(polytope_vertices(data, reference_lambda(data)))
 
 
-def disc_area(data, x, i, lambda_numeric):
+def disc_area(data, x, i, lam):
     """Area 2*pi*(<x, v_i> - lambda_i) of the basic disc meeting facet i.
 
     The base point x must lie strictly inside the polytope.
     """
     if not 0 <= i < data.d:
         raise IndexOutOfRange(f"no facet with index {i}")
-    lam = [float(v) for v in lambda_numeric]
+    lam = [float(v) for v in lam]
     pairings = [
         sum(float(x[j]) * data.rays[k][j] for j in range(data.n))
         for k in range(data.d)

@@ -16,18 +16,8 @@ from fractions import Fraction
 from .errors import IndexOutOfRange, NotAProduct, ToricMirrorError
 
 
-class VertexMismatch(ToricMirrorError):
-    """Discs glued into a curve must share their vertex."""
-
-
 class Unbalanced(ToricMirrorError):
     """Edge directions of a curve must sum to zero."""
-
-
-@dataclass(frozen=True)
-class TropicalDisc:
-    vertex: tuple
-    direction: tuple
 
 
 @dataclass(frozen=True)
@@ -36,27 +26,15 @@ class TropicalCurve:
     edges: tuple  # multiset of ray directions, kept sorted
 
 
-def make_disc(data, vertex, direction):
-    """Disc with the given vertex whose direction is one of the rays."""
-    direction = tuple(int(c) for c in direction)
-    if direction not in data.rays:
-        raise ToricMirrorError(f"direction {direction} is not a ray of the fan")
-    return TropicalDisc(vertex=tuple(Fraction(x) for x in vertex), direction=direction)
-
-
-def glue_discs(discs):
-    """Assemble discs sharing a vertex into a balanced curve."""
-    discs = list(discs)
-    if not discs:
+def glue_discs(vertex, directions):
+    """Glue the discs from ``vertex`` in the given ray directions into a curve."""
+    directions = sorted(directions)
+    if not directions:
         raise Unbalanced("cannot glue zero discs")
-    vertex = discs[0].vertex
-    if any(disc.vertex != vertex for disc in discs):
-        raise VertexMismatch("discs do not share a vertex")
-    directions = sorted(disc.direction for disc in discs)
     total = tuple(sum(v[j] for v in directions) for j in range(len(vertex)))
     if any(total):
         raise Unbalanced(f"directions sum to {total}, not zero")
-    return TropicalCurve(vertex=vertex, edges=tuple(directions))
+    return TropicalCurve(vertex=tuple(vertex), edges=tuple(directions))
 
 
 def curve_degree(curve, data):
@@ -95,14 +73,7 @@ def factor_curve(data, factorization, a, xi):
         raise IndexOutOfRange(f"no factor with index {a}")
     block = factorization.factors[a]
     xi = tuple(Fraction(x) for x in xi)
-    return glue_discs(
-        [TropicalDisc(vertex=xi, direction=data.rays[i]) for i in block.ray_indices]
-    )
-
-
-def log_map(w):
-    """Componentwise log of absolute values, mapping a torus point to a vertex."""
-    return tuple(math.log(abs(complex(c))) for c in w)
+    return glue_discs(xi, [data.rays[i] for i in block.ray_indices])
 
 
 def scene_svg(curves, size=360, reach=4.0):

@@ -236,13 +236,9 @@ def test_criterion_08_tropical_counts():
                 total = tuple(
                     sum(data.rays[i][j] for i in combo) for j in range(data.n)
                 )
-                discs = [
-                    trop.TropicalDisc(vertex=xi, direction=data.rays[i])
-                    for i in combo
-                ]
                 balanced = not any(total)
                 try:
-                    trop.glue_discs(discs)
+                    trop.glue_discs(xi, [data.rays[i] for i in combo])
                     glued = True
                 except trop.Unbalanced:
                     glued = False

@@ -10,6 +10,8 @@ import pytest
 from toricmirror import cli
 from toricmirror.errors import ParseError, UnknownFixture
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -129,7 +131,7 @@ VERTICES_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(VERTICES_DIGESTS))
 def test_vertices_report_is_pinned(name, monkeypatch):
     # the report echoes the input as given, so run from the repository root
-    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    monkeypatch.chdir(ROOT)
     code, out, _ = run_cli(["vertices", name])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERTICES_DIGESTS[name]
@@ -160,6 +162,44 @@ def test_check_reports_are_pinned(command, name):
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_DIGESTS[command, name]
 
 
+# sha256 of the whole stdout of `<command> <input>` with no options: the
+# exact reports of the lattice, W, presentation and tropical layers
+REPORT_DIGESTS = {
+    ("info", "P2"): "c8d9aed0e7e59d21d0810e5a9cd0b01e562b94aa930c1fb6687312fc74347703",
+    ("info", "P1xP1"): "f1c2d9d680ec549b94e8b6def27cb9dfd46d6df850c0fbac60e1565ffd9db047",
+    ("info", "P1xP2"): "47cb846dd6c811f39033c1878d80bd337013afd118e264425cdea4603b03bab5",
+    ("info", "P2xP2"): "5ba883aa44f76333bb2207be55f4305c24b88cf12bef6da4bddb002719971f99",
+    ("info", "BlP2"): "4bd17ab60618f529c55ef8e8092b1f4f77411f49e054608e69b36ded8252d809",
+    ("info", "perfbench/inputs/blp2_rays.json"):
+        "fe5b8e57303ff33d179a5a954298c9460b629b3069028c6cc823843c4d4cfbf7",
+    ("superpotential", "P2"): "a83efbe7c99bb44627933aa858119c6a4c08da9239b5dbbafb2eb012dad1d56a",
+    ("superpotential", "P1xP1"): "e3e4d9054d47c242e5bbcaf5019eb986508cac9dece06e1773aac534b19643b1",
+    ("superpotential", "P1xP2"): "7fb9b1a46e6c3ceb56b32f6dbd75c70ce2376f79ea654dfa7f5a542a436fd3b2",
+    ("superpotential", "P2xP2"): "68543488304cea1bb1eaa2aa6ef1e42d16d6772baf0da5028fdd5a2d1e65c18c",
+    ("superpotential", "BlP2"): "abbab924230f3294f15c6449a28e50b8a645be5a065d05921add1b521e88f6c7",
+    ("presentation", "P2"): "80c05cb82978da60e09de4180eca246d8168d64384c0da89ef560883189e1449",
+    ("presentation", "P1xP1"): "38a1431ee3fca954c5e14b378956b3e0143bd0ade17584b7fb97f48524c99d61",
+    ("presentation", "P1xP2"): "f1500bf04ecb5f5dce68cb706eccd2135b8d718355444f1f74184d9bea7290b0",
+    ("presentation", "P2xP2"): "be8ad8fee5911d0a27f6980143ccd929509b15790323677bbe8ff6c30434af78",
+    ("presentation", "BlP2"): "0ac0a5eecd7d7c6f5b6c39417df12aa0d6c651b38f6f438d0da2991e7c9a782f",
+    ("tropical", "P2"): "afbd0440b6eac66688eaaea9782ba057314c08f87361a5202a1acb4e1119374f",
+    ("tropical", "P1xP1"): "7683ddbe605c448e5793591e444f126504318ec23fe51b2c10437514173c8b1c",
+    ("tropical", "P1xP2"): "f5c4331ad25381e04fa89d98a8bcb315d116232f71d87c1a2ab2f3d822513c06",
+    ("tropical", "P2xP2"): "77d3f9ca146e1b10adcb330615e346ed927dabae5d90019000b841009bec7cb4",
+    # BlP2 is not a product: the pinned report is the NotAProduct error document
+    ("tropical", "BlP2"): "004aa62655bbf802ce6730c648ec6ef554b4be6ef104aaf394bdefd668f3be1c",
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(REPORT_DIGESTS))
+def test_report_is_pinned(command, name, monkeypatch):
+    # the report echoes the input as given, so run from the repository root
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run_cli([command, name])
+    assert code == (1 if (command, name) == ("tropical", "BlP2") else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[command, name]
+
+
 @pytest.mark.parametrize("name", ("P2", "P1xP1", "BlP2"))
 def test_check_commands_pass(name):
     code, _, _ = run_cli(["check-prop21", name, "--kmax", "5"])
@@ -188,20 +228,16 @@ def test_presentation_blowup_and_product():
     assert json.loads(out)["checks"][0]["details"]["provenance"] == "computed-product"
 
 
-README_BLOWUP = {
-    "name": "blowup",
-    "n": 2,
-    "rays": [[1, 0], [0, 1], [-1, -1], [0, -1]],
-    "kbasis": [[1, 0, 1, -1], [0, 1, 0, 1]],
-    "lambda_monomials": [[0, 0], [0, 0], [1, 1], [0, 1]],
-    "lambda_numeric": [0.0, 0.0, -2.0, -1.0],
-}
-BLP2_RAYS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "blp2_rays.json"
+# the README's example input document, its one json block
+README_BLOWUP = (
+    (ROOT / "README.md").read_text(encoding="utf-8").split("```json\n")[1].split("```")[0]
+)
+BLP2_RAYS = ROOT / "perfbench" / "inputs" / "blp2_rays.json"
 
 
 def test_blowup_document_gets_the_builtin_presentation(tmp_path):
     path = tmp_path / "blowup.json"
-    path.write_text(json.dumps(README_BLOWUP))
+    path.write_text(README_BLOWUP)
     code, out, _ = run_cli(["presentation", str(path)])
     assert code == 0
     assert json.loads(out)["checks"][0]["details"]["provenance"] == "builtin-example"
@@ -282,7 +318,7 @@ def test_tropical_blowup_is_structured_error():
 def test_tropical_unbalanced_curve_reaches_the_report(monkeypatch):
     from toricmirror import tropical
 
-    def unbalanced(discs):
+    def unbalanced(vertex, directions):
         raise tropical.Unbalanced("directions sum to (1, 0), not zero")
 
     monkeypatch.setattr(tropical, "glue_discs", unbalanced)
@@ -409,7 +445,6 @@ def test_unreadable_input_is_parse_error(tmp_path, monkeypatch):
     ("rays", [[1, 0], [0, True], [-1, -1]]),
     ("kbasis", [[1, 1, False]]),
     ("lambda_monomials", [[0], [0], [True]]),
-    ("lambda_numeric", [0.0, False, -1.0]),
 ])
 def test_json_booleans_are_not_numbers(tmp_path, field, value):
     doc = {"n": 2, "rays": [[1, 0], [0, 1], [-1, -1]], field: value}
@@ -532,13 +567,28 @@ def test_cli_verify_iso_largest_fixture():
     assert dims["dim"] == dims["points"] == 9
 
 
+@pytest.mark.parametrize("lambda_numeric", [
+    [0.0, 0.0, -1.0], [0.5, 0.0, -1.5], [0.0, False, -1.0], "not a list",
+], ids=["gauge-aligned", "translated", "boolean", "not-a-list"])
+def test_lambda_numeric_key_is_ignored(tmp_path, lambda_numeric):
+    # numeric facet constants are derived from the monomials, never read
+    doc = {"n": 2, "rays": [[1, 0], [0, 1], [-1, -1]]}
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(doc))
+    code, plain, _ = run_cli(["info", str(path)])
+    assert code == 0
+    path.write_text(json.dumps({**doc, "lambda_numeric": lambda_numeric}))
+    code, out, _ = run_cli(["info", str(path)])
+    assert code == 0
+    assert json.loads(out)["checks"] == json.loads(plain)["checks"]
+
+
 def test_file_input_with_all_optional_fields(tmp_path):
     doc = {
         "name": "plane",
         "n": 2,
         "rays": [[1, 0], [0, 1], [-1, -1]],
         "lambda_monomials": [[0], [0], [1]],
-        "lambda_numeric": [0.0, 0.0, -1.0],
     }
     path = tmp_path / "plane.json"
     path.write_text(json.dumps(doc))

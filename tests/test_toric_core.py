@@ -16,11 +16,11 @@ from toricmirror.errors import (
     RepeatedRay,
     ToricMirrorError,
     UnboundedPolytope,
+    WrongParameterCount,
 )
 from toricmirror.toric_core import (
     build_toric_data,
     disc_area,
-    kahler_params,
     kernel_basis,
     lambda_from_q,
     polytope_vertices,
@@ -149,40 +149,40 @@ def test_build_rejects_inconsistent_monomials():
         build_toric_data(P2_RAYS, lambda_exponents=[(0,), (0,)])
 
 
-def test_build_rejects_translated_numeric_lambda():
-    # q-compatible but not the gauge representative the monomials describe
-    with pytest.raises(InconsistentLambda):
-        build_toric_data(P2_RAYS, lambda_numeric=[0.5, 0.0, -1.5])
-    data = build_toric_data(P2_RAYS, lambda_numeric=[0.0, 0.0, -1.0])
-    assert data.lambda_numeric == (0.0, 0.0, -1.0)
-
-
 # --- Kahler parameters -------------------------------------------------------
 
-def test_kahler_params_plane():
+def test_lambda_from_q_plane():
     data = data_for("P2")
-    (q,) = kahler_params(data, [0.0, 0.0, -1.0])
-    assert q == pytest.approx(math.exp(-1.0), abs=1e-15)
+    lam = lambda_from_q(data, [math.exp(-1.0)])
+    assert lam == pytest.approx((0.0, 0.0, -1.0), abs=1e-15)
 
 
-def test_kahler_params_blowup():
+def test_lambda_from_q_blowup():
     data = data_for("BlP2")
     t1, t2 = 1.0, 2.0
-    q = kahler_params(data, [0.0, 0.0, -(t1 + t2), -t2])
-    assert q[0] == pytest.approx(math.exp(-t1), rel=1e-12)
-    assert q[1] == pytest.approx(math.exp(-t2), rel=1e-12)
+    lam = lambda_from_q(data, [math.exp(-t1), math.exp(-t2)])
+    assert lam == pytest.approx((0.0, 0.0, -(t1 + t2), -t2), rel=1e-12)
 
 
-def test_kahler_params_zero_lambda_is_all_ones():
+def test_lambda_from_q_unit_q_is_zero_lambda():
     for name in FIXTURE_NAMES:
         data = data_for(name)
-        assert kahler_params(data, [0.0] * data.d) == (1.0,) * data.l
+        assert lambda_from_q(data, [1.0] * data.l) == (0.0,) * data.d
 
 
 def test_lambda_from_q_roundtrip():
     data = data_for("BlP2")
     lam = lambda_from_q(data, (0.25, 0.5))
-    assert kahler_params(data, lam) == pytest.approx((0.25, 0.5), rel=1e-12)
+    # q_a = exp(sum_i Q_ia lambda_i), Q the kernel basis
+    q = [math.exp(sum(Q_i * lam_i for Q_i, lam_i in zip(col, lam))) for col in data.kbasis]
+    assert q == pytest.approx((0.25, 0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [[0.5], [0.5, 0.5, 7.0]])
+def test_lambda_from_q_rejects_wrong_parameter_count(q):
+    with pytest.raises(WrongParameterCount,
+                       match=f"^expected 2 parameter value\\(s\\), got {len(q)}$"):
+        lambda_from_q(data_for("P1xP1"), q)
 
 
 # --- polytope vertices -------------------------------------------------------

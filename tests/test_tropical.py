@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -7,18 +6,18 @@ import pytest
 
 from toricmirror import quantum_ring as qr
 from toricmirror import tropical as trop
-from toricmirror.errors import IndexOutOfRange, NotAProduct, ToricMirrorError
+from toricmirror.errors import IndexOutOfRange, NotAProduct
 
 from helpers import PRODUCT_NAMES, data_for
 
 
-def discs_at(data, xi, indices):
-    return [trop.make_disc(data, xi, data.rays[i]) for i in indices]
+def glue_at(data, xi, indices):
+    return trop.glue_discs(xi, [data.rays[i] for i in indices])
 
 
 def test_glue_balanced_plane_fan():
     data = data_for("P2")
-    curve = trop.glue_discs(discs_at(data, (0, 0), (0, 1, 2)))
+    curve = glue_at(data, (0, 0), (0, 1, 2))
     assert curve.vertex == (0, 0)
     assert sorted(curve.edges) == [(-1, -1), (0, 1), (1, 0)]
 
@@ -26,35 +25,18 @@ def test_glue_balanced_plane_fan():
 def test_glue_rejects_unbalanced():
     data = data_for("P2")
     with pytest.raises(trop.Unbalanced):
-        trop.glue_discs(discs_at(data, (0, 0), (0, 1)))
-
-
-def test_glue_rejects_vertex_mismatch():
-    data = data_for("P2")
-    discs = [
-        trop.make_disc(data, (0, 0), (1, 0)),
-        trop.make_disc(data, (1, 0), (0, 1)),
-        trop.make_disc(data, (0, 0), (-1, -1)),
-    ]
-    with pytest.raises(trop.VertexMismatch):
-        trop.glue_discs(discs)
-
-
-def test_make_disc_requires_ray_direction():
-    data = data_for("P2")
-    with pytest.raises(ToricMirrorError):
-        trop.make_disc(data, (0, 0), (2, 1))
+        glue_at(data, (0, 0), (0, 1))
 
 
 def test_opposite_pair_balances_in_quad_fan():
     data = data_for("P1xP1")
-    curve = trop.glue_discs(discs_at(data, (Fraction(1, 3), 2), (0, 1)))
+    curve = glue_at(data, (Fraction(1, 3), 2), (0, 1))
     assert trop.curve_degree(curve, data) == (1, 1, 0, 0)
 
 
 def test_curve_degree_plane():
     data = data_for("P2")
-    curve = trop.glue_discs(discs_at(data, (0, 0), (0, 1, 2)))
+    curve = glue_at(data, (0, 0), (0, 1, 2))
     assert trop.curve_degree(curve, data) == (1, 1, 1)
 
 
@@ -71,12 +53,11 @@ def test_degree_lies_in_kernel_for_all_balanced_multisets():
                 total = tuple(
                     sum(data.rays[i][j] for i in combo) for j in range(data.n)
                 )
-                discs = discs_at(data, xi, combo)
                 if any(total):
                     with pytest.raises(trop.Unbalanced):
-                        trop.glue_discs(discs)
+                        glue_at(data, xi, combo)
                 else:
-                    degree = trop.curve_degree(trop.glue_discs(discs), data)
+                    degree = trop.curve_degree(glue_at(data, xi, combo), data)
                     assert all(
                         sum(degree[i] * data.rays[i][j] for i in range(data.d)) == 0
                         for j in range(data.n)
@@ -121,14 +102,9 @@ def test_count_requires_product():
         trop.count_tgw(data, qr.product_structure(data), 0, (0, 0))
 
 
-def test_log_map():
-    point = (math.e, 1j)
-    assert trop.log_map(point) == pytest.approx((1.0, 0.0))
-
-
 def test_scene_svg_contains_edges():
     data = data_for("P2")
-    curve = trop.glue_discs(discs_at(data, (0, 0), (0, 1, 2)))
+    curve = glue_at(data, (0, 0), (0, 1, 2))
     svg = trop.scene_svg([curve])
     assert svg.startswith("<svg")
     assert svg.count("<line") == 3
