@@ -7,6 +7,11 @@ The exit status is 0 exactly when every executed check passes.  Operational
 errors produce ``{command, input, parameters, error: {type, message}}`` and a
 nonzero exit.  Floating values are serialized with 17 significant digits so
 reports are byte-identical for identical requests and seeds.
+
+Each handler imports the layers it runs, and ``import toricmirror`` itself
+loads none, so a command loads only those: ``info`` and ``vertices`` need
+``toric_core`` alone, only ``presentation`` and ``verify-iso`` load
+``quantum_ring``, and only ``tropical`` loads ``tropical``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import disc_algebra, fixtures, lg_model, quantum_ring, syz_transform, tropical
+from . import fixtures
 from .errors import (
     DegeneratePolytope,
     NotAProduct,
@@ -30,6 +35,7 @@ from .toric_core import (
     build_toric_data,
     lambda_from_q,
     polytope_vertices,
+    product_structure,
     reference_lambda,
     vertex_count_reference,
 )
@@ -103,6 +109,8 @@ def load_input(source):
         )
     ):
         raise ParseError(f"{source}: field 'rays' must be a list of integer lists")
+    if "n" in doc and not _is_int(doc["n"]):
+        raise ParseError(f"{source}: field 'n' must be an integer")
     if "n" in doc and any(len(v) != doc["n"] for v in rays):
         raise ParseError(f"{source}: rays do not match the declared rank n={doc['n']}")
     for field in ("lambda_monomials", "kbasis"):
@@ -171,7 +179,7 @@ def _check(name, passed, details):
 # --- command handlers -------------------------------------------------------
 
 def _cmd_info(data, args):
-    factorization = quantum_ring.product_structure(data)
+    factorization = product_structure(data)
     details = {
         "n": data.n,
         "d": data.d,
@@ -215,6 +223,8 @@ def _cmd_vertices(data, args):
 
 
 def _cmd_superpotential(data, args):
+    from . import lg_model
+
     w = lg_model.superpotential(data)
     return [
         _check("superpotential-terms", True, {"terms": w.terms.to_json()})
@@ -222,6 +232,8 @@ def _cmd_superpotential(data, args):
 
 
 def _cmd_phi(data, args):
+    from . import disc_algebra
+
     series = disc_algebra.disc_series(data, _parse_kmax(args.kmax))
     adm = disc_algebra.to_admissible(series, data)
     details = {"series": series.to_json(), "admissible": adm.to_json()}
@@ -229,6 +241,8 @@ def _cmd_phi(data, args):
 
 
 def _cmd_check_prop21(data, args):
+    from . import disc_algebra
+
     series = disc_algebra.disc_series(data, _parse_kmax(args.kmax))
     checks = []
     for a in range(data.l):
@@ -246,6 +260,8 @@ def _cmd_check_prop21(data, args):
 
 
 def _cmd_check_thm32(data, args):
+    from . import disc_algebra, lg_model, syz_transform
+
     kmax = _parse_kmax(args.kmax)
     layers = [{} for _ in range(kmax + 1)]
     for k, c in disc_algebra.disc_series(data, kmax).terms.items():
@@ -274,6 +290,8 @@ def _cmd_check_thm32(data, args):
 
 
 def _cmd_critical_points(data, args):
+    from . import lg_model
+
     q = _parse_q(args.q, data.l) or [Fraction(1)] * data.l
     qfl = [float(x) for x in q]
     expected = vertex_count_reference(data)
@@ -301,6 +319,8 @@ def _cmd_critical_points(data, args):
 
 
 def _cmd_presentation(data, args):
+    from . import lg_model, quantum_ring
+
     pres = quantum_ring.presentation_for(data)
     jac = lg_model.jacobian_generators(lg_model.superpotential(data))
     syntactic = all(
@@ -323,6 +343,8 @@ def _cmd_presentation(data, args):
 
 
 def _cmd_verify_iso(data, args):
+    from . import quantum_ring
+
     pres = quantum_ring.presentation_for(data)
     q = _parse_q(args.q, data.l) or [Fraction(1)] * data.l
     report = quantum_ring.verify_isomorphism(data, pres, q, seed=args.seed)
@@ -354,11 +376,13 @@ def _cmd_verify_iso(data, args):
 
 
 def _cmd_tropical(data, args):
+    from . import tropical
+
     if args.svg and data.n != 2:
         raise ParseError(
             f"--svg draws planar fans only; this input has rank {data.n}"
         )
-    factorization = quantum_ring.product_structure(data)
+    factorization = product_structure(data)
     if factorization is None:
         raise NotAProduct(
             "tropical counting is implemented for products of projective "

@@ -6,9 +6,10 @@ relations.  ``DivisorPolynomial`` is the shared sparse container keyed by
 divisor exponents; ``substitute_divisors`` maps it to the mirror by the
 disc-class relabeling D^m -> e^{lambda.m} z^{v.m}.  The presentation
 is chosen from the fan's data by ``presentation_for``: for products of
-projective spaces the quantum relations are computed (one per factor), and
-an input with the blowup example's rays, kernel basis and facet monomials
-gets that example's built-in relations.  A finite-dimensional
+projective spaces, which ``toric_core.product_structure`` detects, the
+quantum relations are computed (one per factor), and an input with the
+blowup example's rays, kernel basis and facet monomials gets that example's
+built-in relations.  A finite-dimensional
 quotient model is built at exact rational q: one row reduction of the linear
 relations writes every divisor variable as a linear form in the free ones,
 and a reduced Groebner basis of the quantum relations in those variables
@@ -53,7 +54,7 @@ from .lg_model import (
     superpotential,
 )
 from .syz_transform import ZLaurent
-from .toric_core import q_vector, vertex_count_reference
+from .toric_core import product_structure, q_vector, vertex_count_reference
 
 
 class DivisorPolynomial(SparseTerms):
@@ -89,71 +90,6 @@ def linear_ideal(data):
             )
         )
     return gens
-
-
-@dataclass(frozen=True)
-class FactorBlock:
-    coords: tuple[int, ...]        # lattice coordinates of the factor
-    ray_indices: tuple[int, ...]   # the n_a unit rays then the negative-sum ray
-    q_exponents: tuple[int, ...]   # kernel coordinates of the factor class
-
-    @property
-    def dimension(self):
-        return len(self.coords)
-
-
-@dataclass(frozen=True)
-class Factorization:
-    factors: tuple[FactorBlock, ...]
-
-    def __len__(self):
-        return len(self.factors)
-
-
-def product_structure(data):
-    """Detect a product-of-projective-spaces fan; None when there is none.
-
-    Rays must partition into groups, one per coordinate block, each
-    consisting of the block's standard basis vectors plus their negative sum.
-    """
-    n, d = data.n, data.d
-    unit_of = {}
-    negatives = []
-    for idx, v in enumerate(data.rays):
-        nz = [(j, c) for j, c in enumerate(v) if c]
-        if len(nz) == 1 and nz[0][1] == 1:
-            j = nz[0][0]
-            if j in unit_of:
-                return None
-            unit_of[j] = idx
-        elif all(c in (0, -1) for c in v):
-            negatives.append(idx)
-        else:
-            return None
-    if len(unit_of) != n or len(unit_of) + len(negatives) != d:
-        return None
-    covered = set()
-    blocks = []
-    for idx in negatives:
-        support = tuple(j for j, c in enumerate(data.rays[idx]) if c == -1)
-        if covered.intersection(support):
-            return None
-        covered.update(support)
-        blocks.append((support, idx))
-    if covered != set(range(n)):
-        return None
-    blocks.sort()
-    factors = []
-    for coords, neg_idx in blocks:
-        ray_indices = tuple(unit_of[j] for j in coords) + (neg_idx,)
-        qexp = tuple(
-            sum(data.lambda_exponents[i][a] for i in ray_indices)
-            for a in range(data.l)
-        )
-        factors.append(
-            FactorBlock(coords=coords, ray_indices=ray_indices, q_exponents=qexp)
-        )
-    return Factorization(tuple(factors))
 
 
 def quantum_sr_ideal(data, factorization):

@@ -11,10 +11,13 @@ Writing Q for the d x l kernel basis of the ray map, the monomials are
 consistent when Q^T E = Id, i.e. prod_i (e^{lambda_i})^{Q_ia} = q_a.
 Polytope vertices are enumerated in integer arithmetic, one fraction-free
 elimination per n-subset of facets; only the vertices become Fractions.
+``product_structure`` reads a product of projective spaces off the rays and
+facet monomials alone, so ``info`` and ``tropical`` need no other layer.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -299,9 +302,79 @@ def polytope_vertices(data, lam):
     return tuple(sorted(vertices))
 
 
+@functools.lru_cache(maxsize=64)
 def vertex_count_reference(data):
-    """Vertex count of the reference polytope (invariant choice of lambda)."""
+    """Vertex count of the reference polytope (invariant choice of lambda).
+
+    It is a function of the (frozen, hashable) input alone, so the counts of
+    the last 64 inputs are kept.
+    """
     return len(polytope_vertices(data, reference_lambda(data)))
+
+
+@dataclass(frozen=True)
+class FactorBlock:
+    coords: tuple[int, ...]        # lattice coordinates of the factor
+    ray_indices: tuple[int, ...]   # the n_a unit rays then the negative-sum ray
+    q_exponents: tuple[int, ...]   # kernel coordinates of the factor class
+
+    @property
+    def dimension(self):
+        return len(self.coords)
+
+
+@dataclass(frozen=True)
+class Factorization:
+    factors: tuple[FactorBlock, ...]
+
+    def __len__(self):
+        return len(self.factors)
+
+
+def product_structure(data):
+    """Detect a product-of-projective-spaces fan; None when there is none.
+
+    Rays must partition into groups, one per coordinate block, each
+    consisting of the block's standard basis vectors plus their negative sum.
+    """
+    n, d = data.n, data.d
+    unit_of = {}
+    negatives = []
+    for idx, v in enumerate(data.rays):
+        nz = [(j, c) for j, c in enumerate(v) if c]
+        if len(nz) == 1 and nz[0][1] == 1:
+            j = nz[0][0]
+            if j in unit_of:
+                return None
+            unit_of[j] = idx
+        elif all(c in (0, -1) for c in v):
+            negatives.append(idx)
+        else:
+            return None
+    if len(unit_of) != n or len(unit_of) + len(negatives) != d:
+        return None
+    covered = set()
+    blocks = []
+    for idx in negatives:
+        support = tuple(j for j, c in enumerate(data.rays[idx]) if c == -1)
+        if covered.intersection(support):
+            return None
+        covered.update(support)
+        blocks.append((support, idx))
+    if covered != set(range(n)):
+        return None
+    blocks.sort()
+    factors = []
+    for coords, neg_idx in blocks:
+        ray_indices = tuple(unit_of[j] for j in coords) + (neg_idx,)
+        qexp = tuple(
+            sum(data.lambda_exponents[i][a] for i in ray_indices)
+            for a in range(data.l)
+        )
+        factors.append(
+            FactorBlock(coords=coords, ray_indices=ray_indices, q_exponents=qexp)
+        )
+    return Factorization(tuple(factors))
 
 
 def disc_area(data, x, i, lam):

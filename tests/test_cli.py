@@ -445,6 +445,11 @@ def test_unreadable_input_is_parse_error(tmp_path, monkeypatch):
     ("rays", [[1, 0], [0, True], [-1, -1]]),
     ("kbasis", [[1, 1, False]]),
     ("lambda_monomials", [[0], [0], [True]]),
+    # a declared rank that is not a JSON integer used to pass (2.0) or be
+    # reported as a mismatch with the rays ("2", true)
+    ("n", True),
+    ("n", 2.0),
+    ("n", "2"),
 ])
 def test_json_booleans_are_not_numbers(tmp_path, field, value):
     doc = {"n": 2, "rays": [[1, 0], [0, 1], [-1, -1]], field: value}
@@ -532,6 +537,53 @@ def test_exact_commands_leave_module_out(module):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+BASE_LAYERS = {"toricmirror", "toricmirror.cli", "toricmirror.toric_core",
+               "toricmirror._intlinalg", "toricmirror.errors", "toricmirror.fixtures"}
+SERIES_LAYERS = {"toricmirror.disc_algebra"}
+MIRROR_LAYERS = SERIES_LAYERS | {"toricmirror.syz_transform", "toricmirror.lg_model"}
+RING_LAYERS = MIRROR_LAYERS | {"toricmirror.quantum_ring"}
+COMMAND_LAYERS = {
+    "info": set(),
+    "vertices": set(),
+    "phi": SERIES_LAYERS,
+    "check-prop21": SERIES_LAYERS,
+    "superpotential": MIRROR_LAYERS,
+    "check-thm32": MIRROR_LAYERS,
+    "critical-points": MIRROR_LAYERS,
+    "presentation": RING_LAYERS,
+    "verify-iso": RING_LAYERS,
+    "tropical": {"toricmirror.tropical"},
+}
+
+
+def _loaded_package_modules(code):
+    import subprocess
+    import sys
+
+    code += ("\nimport json\nprint(json.dumps("
+             "[m for m in sys.modules if m.split('.')[0] == 'toricmirror']))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    return set(json.loads(out.stdout))
+
+
+def test_bare_import_loads_no_submodule():
+    assert _loaded_package_modules("import sys, toricmirror") == {"toricmirror"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_LAYERS))
+def test_command_loads_only_its_layers(command):
+    # each command, in a fresh interpreter, imports exactly the layers it runs
+    code = (
+        "import contextlib, io, sys\n"
+        "from toricmirror import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert cli.main([{command!r}, 'P2']) == 0"
+    )
+    assert _loaded_package_modules(code) == BASE_LAYERS | COMMAND_LAYERS[command]
 
 
 NUMPY_SCALARS = [
