@@ -46,7 +46,6 @@ _HOMES = {
     "lg_model": (
         "CriticalPointSet",
         "SolverConfig",
-        "Superpotential",
         "critical_points",
         "domain_membership",
         "evaluate_at_critical",

@@ -8,6 +8,9 @@ errors produce ``{command, input, parameters, error: {type, message}}`` and a
 nonzero exit.  Floating values are serialized with 17 significant digits so
 reports are byte-identical for identical requests and seeds.
 
+The command set is one table, ``COMMANDS``, read by ``build_parser`` and
+``run``; a report's ``parameters`` are whichever of a row's options are set.
+
 Each handler imports the layers it runs, and ``import toricmirror`` itself
 loads none, so a command loads only those: ``info`` and ``vertices`` need
 ``toric_core`` alone, only ``presentation`` and ``verify-iso`` load
@@ -113,6 +116,8 @@ def load_input(source):
         raise ParseError(f"{source}: field 'n' must be an integer")
     if "n" in doc and any(len(v) != doc["n"] for v in rays):
         raise ParseError(f"{source}: rays do not match the declared rank n={doc['n']}")
+    if any(len(v) != len(rays[0]) for v in rays):
+        raise ParseError(f"{source}: field 'rays' must hold vectors of one length")
     for field in ("lambda_monomials", "kbasis"):
         if field in doc:
             block = doc[field]
@@ -166,10 +171,10 @@ def _parse_point(text, n):
     return vals
 
 
-def _parse_kmax(kmax):
-    if kmax < 0:
-        raise ParseError(f"--kmax must be nonnegative, got {kmax}")
-    return kmax
+def _nonnegative(option, value):
+    if value < 0:
+        raise ParseError(f"--{option} must be nonnegative, got {value}")
+    return value
 
 
 def _check(name, passed, details):
@@ -226,15 +231,13 @@ def _cmd_superpotential(data, args):
     from . import lg_model
 
     w = lg_model.superpotential(data)
-    return [
-        _check("superpotential-terms", True, {"terms": w.terms.to_json()})
-    ], []
+    return [_check("superpotential-terms", True, {"terms": w.to_json()})], []
 
 
 def _cmd_phi(data, args):
     from . import disc_algebra
 
-    series = disc_algebra.disc_series(data, _parse_kmax(args.kmax))
+    series = disc_algebra.disc_series(data, _nonnegative("kmax", args.kmax))
     adm = disc_algebra.to_admissible(series, data)
     details = {"series": series.to_json(), "admissible": adm.to_json()}
     return [_check("disc-series", True, details)], []
@@ -243,7 +246,7 @@ def _cmd_phi(data, args):
 def _cmd_check_prop21(data, args):
     from . import disc_algebra
 
-    series = disc_algebra.disc_series(data, _parse_kmax(args.kmax))
+    series = disc_algebra.disc_series(data, _nonnegative("kmax", args.kmax))
     checks = []
     for a in range(data.l):
         lhs = disc_algebra.q_log_derivative(series, a, data)
@@ -262,11 +265,11 @@ def _cmd_check_prop21(data, args):
 def _cmd_check_thm32(data, args):
     from . import disc_algebra, lg_model, syz_transform
 
-    kmax = _parse_kmax(args.kmax)
+    kmax = _nonnegative("kmax", args.kmax)
     layers = [{} for _ in range(kmax + 1)]
     for k, c in disc_algebra.disc_series(data, kmax).terms.items():
         layers[sum(k)][k] = c
-    w = lg_model.superpotential(data).terms
+    w = lg_model.superpotential(data)
     one = disc_algebra.QLaurent.constant(1, data.l)
     # per order, add that degree's disc classes on the left, W^order/order! on the right
     lhs = syz_transform.ZLaurent()
@@ -293,10 +296,11 @@ def _cmd_critical_points(data, args):
     from . import lg_model
 
     q = _parse_q(args.q, data.l) or [Fraction(1)] * data.l
+    seed = _nonnegative("seed", args.seed)
     qfl = [float(x) for x in q]
     expected = vertex_count_reference(data)
     w = lg_model.superpotential(data)
-    config = lg_model.SolverConfig(expected_count=expected, seed=args.seed)
+    config = lg_model.SolverConfig(expected_count=expected, seed=seed)
     cps = lg_model.critical_points(w, qfl, config)
     worst = max(cps.residuals)
     details = {
@@ -347,7 +351,8 @@ def _cmd_verify_iso(data, args):
 
     pres = quantum_ring.presentation_for(data)
     q = _parse_q(args.q, data.l) or [Fraction(1)] * data.l
-    report = quantum_ring.verify_isomorphism(data, pres, q, seed=args.seed)
+    seed = _nonnegative("seed", args.seed)
+    report = quantum_ring.verify_isomorphism(data, pres, q, seed=seed)
     checks = []
     for c in report.checks:
         details = dict(c.details)
@@ -425,32 +430,48 @@ def _cmd_tropical(data, args):
     return checks, artifacts
 
 
-_HANDLERS = {
-    "info": _cmd_info,
-    "vertices": _cmd_vertices,
-    "superpotential": _cmd_superpotential,
-    "phi": _cmd_phi,
-    "check-prop21": _cmd_check_prop21,
-    "check-thm32": _cmd_check_thm32,
-    "critical-points": _cmd_critical_points,
-    "presentation": _cmd_presentation,
-    "verify-iso": _cmd_verify_iso,
-    "tropical": _cmd_tropical,
+_KMAX = ("--kmax", {"type": int, "default": 6})
+_SOLVER = (
+    ("--q", {"help": "comma-separated positive parameters (default: 1 each)"}),
+    ("--seed", {"type": int, "default": 0}),
+)
+
+# command name -> (handler, help text, options as (flag, add_argument keywords))
+COMMANDS = {
+    "info": (_cmd_info, "validate the input and summarize its lattice data", ()),
+    "vertices": (_cmd_vertices, "enumerate polytope vertices at numeric parameters", (
+        ("--q", {"help": "comma-separated positive parameters (default: e^-1 each); "
+                         + KAHLER_CONE_HINT}),
+    )),
+    "superpotential": (_cmd_superpotential, "emit the mirror Laurent function", ()),
+    "phi": (_cmd_phi, "emit the disc-count generating series", (_KMAX,)),
+    "check-prop21": (_cmd_check_prop21,
+                     "verify the log-derivative identity classwise", (_KMAX,)),
+    "check-thm32": (_cmd_check_thm32,
+                    "verify transform vs exponential, exactly, per order", (_KMAX,)),
+    "critical-points": (_cmd_critical_points,
+                        "solve for all critical points of the mirror function", _SOLVER),
+    "presentation": (_cmd_presentation,
+                     "emit the ring presentation on divisor generators", ()),
+    "verify-iso": (_cmd_verify_iso, "run the full ring-vs-mirror verification", _SOLVER),
+    "tropical": (_cmd_tropical, "count marked single-vertex curves per product factor", (
+        ("--factor", {"type": int, "help": "1-based factor index (default: all)"}),
+        ("--xi", {"help": "comma-separated rational vertex coordinates"}),
+        ("--svg", {"help": "write an SVG scene to this path"}),
+    )),
 }
 
 
 def _parameters(args):
-    out = {}
-    for key in ("kmax", "q", "seed", "factor", "xi", "svg"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            out[key] = getattr(args, key)
-    return out
+    """The parsed options that are set, apart from the input and --out."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("command", "input", "out") and v is not None}
 
 
 def run(args):
     """Execute one request and return the report document."""
     data = load_input(args.input)
-    checks, artifacts = _HANDLERS[args.command](data, args)
+    checks, artifacts = COMMANDS[args.command][0](data, args)
     return {
         "command": args.command,
         "input": args.input,
@@ -470,36 +491,12 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
+    for name, (_, help_text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="fixture name or input JSON path")
         p.add_argument("--out", help="write the JSON report to this path")
-        return p
-
-    def add_solver(name, help_text):
-        p = add(name, help_text)
-        p.add_argument("--q", help="comma-separated positive parameters (default: 1 each)")
-        p.add_argument("--seed", type=int, default=0)
-
-    add("info", "validate the input and summarize its lattice data")
-    p = add("vertices", "enumerate polytope vertices at numeric parameters")
-    p.add_argument("--q", help="comma-separated positive parameters (default: e^-1 each); "
-                   + KAHLER_CONE_HINT)
-    add("superpotential", "emit the mirror Laurent function")
-    p = add("phi", "emit the disc-count generating series")
-    p.add_argument("--kmax", type=int, default=6)
-    p = add("check-prop21", "verify the log-derivative identity classwise")
-    p.add_argument("--kmax", type=int, default=6)
-    p = add("check-thm32", "verify transform vs exponential, exactly, per order")
-    p.add_argument("--kmax", type=int, default=6)
-    add_solver("critical-points", "solve for all critical points of the mirror function")
-    add("presentation", "emit the ring presentation on divisor generators")
-    add_solver("verify-iso", "run the full ring-vs-mirror verification")
-    p = add("tropical", "count marked single-vertex curves per product factor")
-    p.add_argument("--factor", type=int, help="1-based factor index (default: all)")
-    p.add_argument("--xi", help="comma-separated rational vertex coordinates")
-    p.add_argument("--svg", help="write an SVG scene to this path")
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
     return parser
 
 

@@ -15,6 +15,10 @@ class NonPrimitiveRay(ToricMirrorError):
     """A ray is zero or its coordinates have a common factor."""
 
 
+class MixedRayDimensions(ToricMirrorError):
+    """The rays do not all have the same number of coordinates."""
+
+
 class RepeatedRay(ToricMirrorError):
     """The same ray is given twice; a fan has each ray once."""
 

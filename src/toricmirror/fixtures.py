@@ -1,68 +1,33 @@
-"""Registered desk-scale inputs used by the command line and the test suite."""
+"""Registered desk-scale inputs used by the command line and the test suite.
+
+``REGISTRY`` maps each name to its rays and, where the input pins one, its
+kernel basis; ``fixture(name)`` builds the validated input from that row.
+"""
 
 from __future__ import annotations
 
 from .errors import UnknownFixture
 from .toric_core import build_toric_data
 
-
-def p2():
-    """Projective plane: rays e1, e2, -(e1+e2)."""
-    return build_toric_data([(1, 0), (0, 1), (-1, -1)])
-
-
-def p1xp1():
-    """Quad fan: two opposite ray pairs."""
-    return build_toric_data([(1, 0), (-1, 0), (0, 1), (0, -1)])
-
-
-def p1xp2():
-    """Line times plane, rank-3 lattice."""
-    return build_toric_data(
-        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1)]
-    )
-
-
-def p2xp2():
-    """Plane times plane, rank-4 lattice."""
-    return build_toric_data(
-        [
-            (1, 0, 0, 0),
-            (0, 1, 0, 0),
-            (-1, -1, 0, 0),
-            (0, 0, 1, 0),
-            (0, 0, 0, 1),
-            (0, 0, -1, -1),
-        ]
-    )
-
-
-def blowup_p2():
-    """Plane blown up at a torus-fixed point, with its trapezoid kernel basis.
-
-    The supplied basis pins the facet monomials to (1, 1, q1*q2, q2), so the
-    two parameters measure the exceptional curve and the fiber class.
-    """
-    return build_toric_data(
-        [(1, 0), (0, 1), (-1, -1), (0, -1)],
-        kbasis=[(1, 0, 1, -1), (0, 1, 0, 1)],
-    )
-
-
 REGISTRY = {
-    "P2": p2,
-    "P1xP1": p1xp1,
-    "P1xP2": p1xp2,
-    "P2xP2": p2xp2,
-    "BlP2": blowup_p2,
+    "P2": ([(1, 0), (0, 1), (-1, -1)], None),
+    "P1xP1": ([(1, 0), (-1, 0), (0, 1), (0, -1)], None),
+    "P1xP2": ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1)], None),
+    "P2xP2": ([(1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0),
+               (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, -1, -1)], None),
+    # The plane blown up at a torus-fixed point, with its trapezoid kernel
+    # basis: it pins the facet monomials to (1, 1, q1*q2, q2), so the two
+    # parameters measure the exceptional curve and the fiber class.
+    "BlP2": ([(1, 0), (0, 1), (-1, -1), (0, -1)],
+             [(1, 0, 1, -1), (0, 1, 0, 1)]),
 }
 
 
 def fixture(name):
     try:
-        builder = REGISTRY[name]
+        rays, kbasis = REGISTRY[name]
     except KeyError:
         raise UnknownFixture(
             f"unknown fixture {name!r}; registered: {', '.join(REGISTRY)}"
         ) from None
-    return builder()
+    return build_toric_data(rays, kbasis=kbasis)

@@ -1,14 +1,17 @@
 """Mirror side: superpotential, bounded domain, and numeric critical points.
 
-The superpotential is the d-term Laurent object sum_i e^{lambda_i} z^{v_i}.
-Critical points of its logarithmic derivatives are found by multistart
-Newton iteration in logarithmic coordinates u (z = exp(u)), which keeps
-iterates off the coordinate hyperplanes and makes deduplication well defined
-modulo 2*pi in each imaginary part.  All starts iterate together as one
-S x n batch with one batched linear solve per step.  The Newton settings are
-fixed: 50 starts per expected root (``SolverConfig.start_count``), at most
-``MAX_ITER`` = 80 steps, convergence at residual ``TOL`` = 1e-12, and roots
-closer than ``DEDUP_TOL`` = 1e-6 in log coordinates are one root.
+The superpotential W is the Laurent polynomial sum_i e^{lambda_i} z^{v_i},
+a plain ``ZLaurent`` with its terms in ray order.  The rest reads only W's
+terms: z_j dW/dz_j scales the term at v by v_j, and Newton takes its
+exponent rows and coefficients from them.  Critical points of the log
+derivatives are found by multistart Newton iteration in logarithmic
+coordinates u (z = exp(u)), which keeps iterates off the coordinate
+hyperplanes and makes deduplication well defined modulo 2*pi in each
+imaginary part.  All starts iterate together as one S x n batch with one
+batched linear solve per step.  The Newton settings are fixed: 50 starts per
+expected root (``SolverConfig.start_count``), at most ``MAX_ITER`` = 80
+steps, convergence at residual ``TOL`` = 1e-12, and roots closer than
+``DEDUP_TOL`` = 1e-6 in log coordinates are one root.
 
 Only the float code (``critical_points`` and its helpers) imports numpy, so
 the exact commands that build W or its log derivatives never load it.
@@ -29,44 +32,27 @@ from .syz_transform import ZLaurent
 from .toric_core import q_vector
 
 
-@dataclass(frozen=True)
-class Superpotential:
-    """The mirror Laurent function together with its source data."""
-
-    data: object
-    terms: ZLaurent
-
-    def coefficients(self, q_numeric):
-        """Numeric coefficient of each ray's term at positive q."""
-        q = q_vector(q_numeric, self.data.l)
-        return [self.terms.terms[v].evaluate(q) for v in self.data.rays]
-
-
-def superpotential(data) -> Superpotential:
-    zl = ZLaurent(
-        {
-            data.rays[i]: QLaurent.monomial(data.lambda_exponents[i])
-            for i in range(data.d)
-        }
+def superpotential(data) -> ZLaurent:
+    """W = sum_i e^{lambda_i} z^{v_i}, its terms in ray order."""
+    return ZLaurent._wrap(
+        {v: QLaurent.monomial(e) for v, e in zip(data.rays, data.lambda_exponents)}
     )
-    return Superpotential(data=data, terms=zl)
 
 
-def jacobian_generators(w: Superpotential):
-    """The n logarithmic derivatives z_j dW/dz_j = sum_i v_i^j e^{lambda_i} z^{v_i}."""
-    data = w.data
-    gens = []
-    for j in range(data.n):
-        gens.append(
-            ZLaurent(
-                [
-                    (data.rays[i], QLaurent.monomial(data.lambda_exponents[i], data.rays[i][j]))
-                    for i in range(data.d)
-                    if data.rays[i][j]
-                ]
-            )
-        )
-    return gens
+def jacobian_generators(w: ZLaurent):
+    """The logarithmic derivatives z_j dW/dz_j: the term at v scaled by v_j."""
+    n = len(next(iter(w.terms)))
+    return [
+        ZLaurent._wrap({v: c.scale(v[j]) for v, c in w.terms.items() if v[j]})
+        for j in range(n)
+    ]
+
+
+def _coefficients(w: ZLaurent, q_numeric):
+    """Numeric coefficient of each term of W at positive q, in term order."""
+    some_q_exponent = next(iter(next(iter(w.terms.values())).terms))
+    q = q_vector(q_numeric, len(some_q_exponent))
+    return [c.evaluate(q) for c in w.terms.values()]
 
 
 def domain_membership(data, z, q_numeric):
@@ -74,10 +60,9 @@ def domain_membership(data, z, q_numeric):
     zv = [complex(c) for c in z]
     if any(c == 0 for c in zv):
         raise ZeroCoordinate("mirror coordinates must be nonzero")
-    coeffs = superpotential(data).coefficients(q_numeric)
-    for i in range(data.d):
-        mono = coeffs[i]
-        for zj, vj in zip(zv, data.rays[i]):
+    w = superpotential(data)
+    for v, mono in zip(w.terms, _coefficients(w, q_numeric)):
+        for zj, vj in zip(zv, v):
             mono *= abs(zj) ** vj
         if not mono < 1.0:
             return False
@@ -156,7 +141,7 @@ def _newton(rays, coeffs, u):
     return done
 
 
-def critical_points(w: Superpotential, q_numeric, config: SolverConfig):
+def critical_points(w: ZLaurent, q_numeric, config: SolverConfig):
     """Multistart Newton search for all roots of z_j dW/dz_j = 0.
 
     All starts are drawn as one array and iterated as one batch.  Roots are
@@ -166,10 +151,9 @@ def critical_points(w: Superpotential, q_numeric, config: SolverConfig):
     """
     import numpy as np
 
-    data = w.data
-    n = data.n
-    rays = np.array(data.rays, dtype=float)          # (d, n)
-    coeffs = np.array(w.coefficients(q_numeric))     # (d,)
+    rays = np.array(list(w.terms), dtype=float)      # (d, n)
+    n = rays.shape[1]
+    coeffs = np.array(_coefficients(w, q_numeric))   # (d,)
     rng = np.random.default_rng(config.seed)
     shape = (config.start_count(), n)
     u = rng.uniform(-3.0, 3.0, shape) + 1j * rng.uniform(0.0, 2 * np.pi, shape)

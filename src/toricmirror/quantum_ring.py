@@ -45,7 +45,7 @@ from .errors import (
     EmptyQuotient,
     NotAProduct,
 )
-from .fixtures import blowup_p2
+from .fixtures import fixture
 from .lg_model import (
     SolverConfig,
     critical_points,
@@ -144,7 +144,7 @@ def presentation_for(data, factorization=None):
         factorization = product_structure(data)
     if factorization is not None:
         quantum, provenance = quantum_sr_ideal(data, factorization), "computed-product"
-    elif data == blowup_p2():
+    elif data == fixture("BlP2"):
         quantum, provenance = _blowup_relations(data.l), "builtin-example"
     else:
         raise NotAProduct(

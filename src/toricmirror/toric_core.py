@@ -30,6 +30,7 @@ from .errors import (
     DegeneratePolytope,
     InconsistentLambda,
     IndexOutOfRange,
+    MixedRayDimensions,
     NonPrimitiveRay,
     NonSpanningRays,
     PointOutsidePolytope,
@@ -58,11 +59,6 @@ class ToricFanoData:
     @property
     def l(self) -> int:
         return len(self.kbasis)
-
-
-def _colex_desc_subsets(d, size):
-    subsets = itertools.combinations(range(d), size)
-    return sorted(subsets, key=lambda t: tuple(reversed(t)), reverse=True)
 
 
 def kernel_basis(rays):
@@ -96,14 +92,14 @@ def _default_lambda_exponents(kbasis, d, l):
     # Prefer lambda_i = 0 on as many rays as possible: scan index sets of
     # size l in colexicographic-descending order (so the trailing block is
     # tried first) and use the first whose kbasis row block is unimodular.
-    for rows in _colex_desc_subsets(d, l):
+    # Combinations of the descending indices come in exactly that order.
+    for rows in itertools.combinations(range(d - 1, -1, -1), l):
         block_t = [[kbasis[a][i] for i in rows] for a in range(l)]  # B^T
         inv = ila.unimodular_inverse(block_t)
         if inv is None:
             continue
         exps = [(0,) * l] * d
         for b, i in enumerate(rows):
-            exps = list(exps)
             exps[i] = tuple(inv[b])
         return tuple(exps)
     raise InconsistentLambda(
@@ -135,7 +131,7 @@ def build_toric_data(rays, lambda_exponents=None, kbasis=None):
         raise NonSpanningRays("no rays given")
     n = len(rays[0])
     if any(len(v) != n for v in rays):
-        raise NonPrimitiveRay("rays have mixed dimensions")
+        raise MixedRayDimensions("rays have mixed dimensions")
     for v in rays:
         if not any(v):
             raise NonPrimitiveRay(f"zero ray {v}")

@@ -369,6 +369,21 @@ def test_negative_kmax_is_parse_error(command):
     assert "ParseError" in err
 
 
+@pytest.mark.parametrize("command", ["critical-points", "verify-iso"])
+def test_negative_seed_is_parse_error(command):
+    code, out, err = run_cli([command, "P2", "--seed", "-3"])
+    assert code == 1
+    report = json.loads(out)
+    assert "checks" not in report
+    assert report["error"] == {"type": "ParseError",
+                               "message": "--seed must be nonnegative, got -3"}
+    assert report["parameters"] == {"seed": -3}
+    assert "ParseError" in err
+    # --q is checked first
+    code, out, _ = run_cli([command, "P2", "--q", "0", "--seed", "-3"])
+    assert json.loads(out)["error"]["message"] == "parameters must be positive"
+
+
 def test_file_input_roundtrip(tmp_path):
     doc = {
         "name": "blowup",
@@ -459,6 +474,15 @@ def test_json_booleans_are_not_numbers(tmp_path, field, value):
     assert code == 1
     error = json.loads(out)["error"]
     assert error["type"] == "ParseError" and repr(field) in error["message"]
+
+
+def test_rays_of_mixed_dimensions_are_parse_error(tmp_path):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"rays": [[1, 0], [0], [-1, -1]]}))
+    code, out, _ = run_cli(["info", str(path)])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError" and "'rays'" in error["message"]
 
 
 def test_invalid_input_data_is_structured():

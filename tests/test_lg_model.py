@@ -34,14 +34,14 @@ def qmono(*exps):
 
 def test_superpotential_plane():
     w = tm.superpotential(data_for("P2"))
-    assert w.terms == ZLaurent(
+    assert w == ZLaurent(
         {(1, 0): qmono(0), (0, 1): qmono(0), (-1, -1): qmono(1)}
     )
 
 
 def test_superpotential_quad():
     w = tm.superpotential(data_for("P1xP1"))
-    assert w.terms == ZLaurent(
+    assert w == ZLaurent(
         {
             (1, 0): qmono(0, 0),
             (-1, 0): qmono(1, 0),
@@ -53,7 +53,7 @@ def test_superpotential_quad():
 
 def test_superpotential_blowup():
     w = tm.superpotential(data_for("BlP2"))
-    assert w.terms == ZLaurent(
+    assert w == ZLaurent(
         {
             (1, 0): qmono(0, 0),
             (0, 1): qmono(0, 0),
@@ -67,7 +67,7 @@ def test_superpotential_numeric_view():
     w = tm.superpotential(data_for("P2"))
     z = (0.3 + 0.1j, 0.2 - 0.4j)
     expected = z[0] + z[1] + math.exp(-1.0) / (z[0] * z[1])
-    assert w.terms.evaluate(z, [math.exp(-1.0)]) == pytest.approx(expected)
+    assert w.evaluate(z, [math.exp(-1.0)]) == pytest.approx(expected)
 
 
 # --- jacobian generators -----------------------------------------------------
@@ -268,7 +268,8 @@ def _newton_one_start(rays, coeffs, u):
 def test_batched_newton_matches_one_start_at_a_time(name):
     data = data_for(name)
     rays = np.array(data.rays, dtype=float)
-    coeffs = np.array(tm.superpotential(data).coefficients([0.6] * data.l))
+    # e^{lambda_i} = prod_a q_a^{E_ia} at q_a = 0.6, from the input's exponents
+    coeffs = np.array([math.prod(0.6 ** e for e in row) for row in data.lambda_exponents])
     rng = np.random.default_rng(7)
     starts = rng.uniform(-3, 3, (200, data.n)) + 1j * rng.uniform(0, 6.3, (200, data.n))
     batch = starts.copy()
@@ -294,6 +295,45 @@ def test_every_start_failing_is_reported(monkeypatch):
     cfg = SolverConfig(expected_count=3, seed=0)
     with pytest.raises(IncompleteRootSet, match="150 of 150 starts failed"):
         critical_points(tm.superpotential(data), [1.0], cfg)
+
+
+# --- the mirror layer on a hand-built W ---------------------------------------
+
+def test_p1_critical_points_from_a_hand_built_w():
+    # W = z + q/z on P1, with no toric data behind it: z dW/dz = z - q/z
+    w = ZLaurent({(1,): qmono(0), (-1,): qmono(1)})
+    assert tm.jacobian_generators(w) == [
+        ZLaurent({(1,): qmono(0), (-1,): qmono(1).scale(-1)})
+    ]
+    cps = critical_points(w, [0.49], SolverConfig(expected_count=2, seed=0))
+    assert multiset_distance([z[0] for z in cps.points], [0.7, -0.7]) < 1e-9
+    assert multiset_distance(list(cps.values), [1.4, -1.4]) < 1e-9
+    with pytest.raises(WrongParameterCount, match="expected 1 parameter value"):
+        critical_points(w, [0.5, 0.5], SolverConfig(expected_count=2, seed=0))
+
+
+# each fixture's W written out: ray -> q-exponent of its coefficient
+W_LITERALS = {
+    "P2": {(1, 0): (0,), (0, 1): (0,), (-1, -1): (1,)},
+    "P1xP1": {(1, 0): (0, 0), (-1, 0): (1, 0), (0, 1): (0, 0), (0, -1): (0, 1)},
+    "P1xP2": {(1, 0, 0): (0, 0), (-1, 0, 0): (1, 0), (0, 1, 0): (0, 0),
+              (0, 0, 1): (0, 0), (0, -1, -1): (0, 1)},
+    "P2xP2": {(1, 0, 0, 0): (0, 0), (0, 1, 0, 0): (0, 0), (-1, -1, 0, 0): (1, 0),
+              (0, 0, 1, 0): (0, 0), (0, 0, 0, 1): (0, 0), (0, 0, -1, -1): (0, 1)},
+    "BlP2": {(1, 0): (0, 0), (0, 1): (0, 0), (-1, -1): (1, 1), (0, -1): (0, 1)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(W_LITERALS))
+def test_critical_points_read_nothing_but_w(name):
+    data = data_for(name)
+    literal = ZLaurent({v: qmono(*e) for v, e in W_LITERALS[name].items()})
+    assert tm.superpotential(data) == literal
+    q = [0.6] * data.l
+    cfg = SolverConfig(expected_count=tm.vertex_count_reference(data), seed=4)
+    assert critical_points(tm.superpotential(data), q, cfg) == critical_points(
+        literal, q, cfg
+    )
 
 
 # --- evaluation at critical points -------------------------------------------

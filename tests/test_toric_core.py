@@ -10,6 +10,7 @@ from toricmirror.errors import (
     BasisNotKernel,
     DegeneratePolytope,
     InconsistentLambda,
+    MixedRayDimensions,
     NonPrimitiveRay,
     NonSpanningRays,
     PointOutsidePolytope,
@@ -116,6 +117,11 @@ def test_build_rejects_nonprimitive_and_zero_rays():
         build_toric_data([(2, 0), (0, 1), (-1, -1)])
     with pytest.raises(NonPrimitiveRay):
         build_toric_data([(0, 0), (0, 1), (-1, -1)])
+
+
+def test_build_rejects_rays_of_mixed_dimensions():
+    with pytest.raises(MixedRayDimensions, match="mixed dimensions"):
+        build_toric_data([(1, 0), (0,), (-1, -1)])
 
 
 def test_build_rejects_repeated_rays():
