@@ -6,7 +6,8 @@ written to stdout (or ``--out``); a human-readable summary goes to stderr.
 The exit status is 0 exactly when every executed check passes.  Operational
 errors produce ``{command, input, parameters, error: {type, message}}`` and a
 nonzero exit.  Floating values are serialized with 17 significant digits so
-reports are byte-identical for identical requests and seeds.
+reports are byte-identical for identical requests and seeds.  Every JSON
+shape of a report is written here (``_q_rows``, ``_flat_rows`` and inline).
 
 The command set is one table, ``COMMANDS``, read by ``build_parser`` and
 ``run``; a report's ``parameters`` are whichever of a row's options are set.
@@ -71,6 +72,18 @@ def jsonify(value):
     if isinstance(value, (complex, numbers.Complex)):
         return {"re": _fmt_float(value.real), "im": _fmt_float(value.imag)}
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _q_rows(c):
+    """JSON rows of a QLaurent, sorted by q-exponents."""
+    return [{"q_exponents": list(e), "coefficient": str(x)}
+            for e, x in sorted(c.terms.items())]
+
+
+def _flat_rows(f, key_name):
+    """One JSON row per (key, q-exponents) pair of a QLaurent-valued map."""
+    return [{key_name: list(k), **row}
+            for k, c in sorted(f.terms.items()) for row in _q_rows(c)]
 
 
 def _is_int(x):
@@ -231,7 +244,7 @@ def _cmd_superpotential(data, args):
     from . import lg_model
 
     w = lg_model.superpotential(data)
-    return [_check("superpotential-terms", True, {"terms": w.to_json()})], []
+    return [_check("superpotential-terms", True, {"terms": _flat_rows(w, "z_exponents")})], []
 
 
 def _cmd_phi(data, args):
@@ -239,7 +252,15 @@ def _cmd_phi(data, args):
 
     series = disc_algebra.disc_series(data, _nonnegative("kmax", args.kmax))
     adm = disc_algebra.to_admissible(series, data)
-    details = {"series": series.to_json(), "admissible": adm.to_json()}
+    details = {
+        "series": {
+            "truncation_order": series.truncation_order,
+            "classes": [{"k": list(k), "coefficient": str(c)}
+                        for k, c in sorted(series.terms.items())],
+        },
+        "admissible": [{"boundary_class": list(v), "coefficient": _q_rows(c)}
+                       for v, c in sorted(adm.terms.items())],
+    }
     return [_check("disc-series", True, details)], []
 
 
@@ -326,23 +347,17 @@ def _cmd_presentation(data, args):
     from . import lg_model, quantum_ring
 
     pres = quantum_ring.presentation_for(data)
-    jac = lg_model.jacobian_generators(lg_model.superpotential(data))
-    syntactic = all(
-        quantum_ring.substitute_divisors(g, data) == jac[j]
-        for j, g in enumerate(pres.linear_gens)
-    )
-    vanish = all(
-        not quantum_ring.substitute_divisors(g, data) for g in pres.quantum_gens
-    )
+    w = lg_model.superpotential(data)
+    linear_ok, quantum_ok = quantum_ring.relations_match(data, pres, w)
     details = {
         "provenance": pres.provenance,
-        "linear_generators": [g.to_json() for g in pres.linear_gens],
-        "quantum_generators": [g.to_json() for g in pres.quantum_gens],
+        "linear_generators": [_flat_rows(g, "divisor_exponents") for g in pres.linear_gens],
+        "quantum_generators": [_flat_rows(g, "divisor_exponents") for g in pres.quantum_gens],
     }
     return [
         _check("presentation", True, details),
-        _check("linear-generators-match-log-derivatives", syntactic, {}),
-        _check("quantum-generators-vanish-under-substitution", vanish, {}),
+        _check("linear-generators-match-log-derivatives", linear_ok, {}),
+        _check("quantum-generators-vanish-under-substitution", quantum_ok, {}),
     ], []
 
 
@@ -353,31 +368,10 @@ def _cmd_verify_iso(data, args):
     q = _parse_q(args.q, data.l) or [Fraction(1)] * data.l
     seed = _nonnegative("seed", args.seed)
     report = quantum_ring.verify_isomorphism(data, pres, q, seed=seed)
-    checks = []
-    for c in report.checks:
-        details = dict(c.details)
-        details["q"] = q
-        checks.append(_check(c.name, c.passed, details))
-    spectra_details = {
-        str(i): {
-            "eigenvalues": report.spectra[i]["eigenvalues"],
-            "point_values": report.spectra[i]["point_values"],
-        }
-        for i in sorted(report.spectra)
-    }
-    checks.append(
-        _check(
-            "spectra",
-            True,
-            {
-                "provenance": report.provenance,
-                "dim": report.dim,
-                "point_count": report.point_count,
-                "per_divisor": spectra_details,
-            },
-        )
-    )
-    return checks, []
+    checks = [_check(c.name, c.passed, {**c.details, "q": q}) for c in report.checks]
+    spectra = {"provenance": pres.provenance, "dim": report.dim,
+               "point_count": report.point_count, "per_divisor": report.spectra}
+    return checks + [_check("spectra", True, spectra)], []
 
 
 def _cmd_tropical(data, args):

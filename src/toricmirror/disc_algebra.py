@@ -148,8 +148,8 @@ class SparseTerms:
     """Finitely supported map from integer exponent tuples to coefficients.
 
     ``terms`` is a plain dict without zero coefficients.  Subclasses differ
-    only in how input coefficients are coerced, which keys they accept, and
-    how they evaluate and serialize.
+    only in their coefficient ring, which keys they accept, and how they
+    evaluate.  Coefficients are QLaurent unless a subclass says otherwise.
     """
 
     __slots__ = ("terms",)
@@ -160,14 +160,22 @@ class SparseTerms:
             items = terms.items() if isinstance(terms, dict) else terms
             pairs = []
             for exps, coeff in items:
-                coeff = self._coerce(coeff)
+                coeff = self._coefficient(coeff)
                 if coeff:
                     pairs.append((self._key(exps), coeff))
             add_into(self.terms, pairs)
 
     @staticmethod
-    def _coerce(coeff):
+    def _coefficient(coeff):
+        """A coefficient given at construction, in this map's ring."""
+        if not isinstance(coeff, QLaurent):
+            raise TypeError(f"coefficients must be QLaurent, got {type(coeff).__name__}")
         return coeff
+
+    @staticmethod
+    def _coerce(factor):
+        """A scaling factor: a number or a QLaurent scales QLaurent coefficients."""
+        return factor
 
     @staticmethod
     def _key(exps):
@@ -224,8 +232,7 @@ class QLaurent(SparseTerms):
     """Sparse exact Laurent polynomial in the Kahler parameters."""
 
     __slots__ = ()
-    _coerce = staticmethod(Fraction)
-    _zero = staticmethod(Fraction)
+    _coefficient = _coerce = _zero = staticmethod(Fraction)
 
     @classmethod
     def monomial(cls, exps, coeff=1):
@@ -254,21 +261,6 @@ class QLaurent(SparseTerms):
             total += term
         return total
 
-    def to_json(self):
-        return [
-            {"q_exponents": list(e), "coefficient": str(c)}
-            for e, c in sorted(self.terms.items())
-        ]
-
-
-def flat_json(terms, key_name):
-    """One JSON row per (key exponents, q-exponents) pair of QLaurent terms."""
-    return [
-        {key_name: list(k), **entry}
-        for k, c in sorted(terms.items())
-        for entry in c.to_json()
-    ]
-
 
 class AdmissibleFunction(SparseTerms):
     """Finitely supported boundary-class coefficients of a fiberwise function.
@@ -277,12 +269,6 @@ class AdmissibleFunction(SparseTerms):
     """
 
     __slots__ = ()
-
-    def to_json(self):
-        return [
-            {"boundary_class": list(v), "coefficient": c.to_json()}
-            for v, c in sorted(self.terms.items())
-        ]
 
 
 def unit(data):
@@ -325,8 +311,7 @@ class DiscSeries(SparseTerms):
     """
 
     __slots__ = ()
-    _coerce = staticmethod(Fraction)
-    _zero = staticmethod(Fraction)
+    _coefficient = _coerce = _zero = staticmethod(Fraction)
     _key = staticmethod(nonnegative_key)
 
     @property
@@ -338,15 +323,6 @@ class DiscSeries(SparseTerms):
         return self._wrap(
             {k: c for k, c in self.terms.items() if sum(k) <= max_total}
         )
-
-    def to_json(self):
-        return {
-            "truncation_order": self.truncation_order,
-            "classes": [
-                {"k": list(k), "coefficient": str(c)}
-                for k, c in sorted(self.terms.items())
-            ],
-        }
 
 
 def facet_rows(data):

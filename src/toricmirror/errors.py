@@ -75,10 +75,6 @@ class EmptyQuotient(ToricMirrorError):
     """The quotient ring collapsed to zero."""
 
 
-class ClassNotReducible(ToricMirrorError):
-    """A ring class does not reduce into the span of the quotient basis."""
-
-
 # --- front end -----------------------------------------------------------
 
 class UnknownFixture(ToricMirrorError):

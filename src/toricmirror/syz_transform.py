@@ -16,7 +16,6 @@ from .disc_algebra import (
     SparseTerms,
     disc_classes,
     facet_rows,
-    flat_json,
     group_classes,
 )
 
@@ -39,9 +38,6 @@ class ZLaurent(SparseTerms):
                 mono *= zj ** wj
             total += c.evaluate(qvals) * mono
         return total
-
-    def to_json(self):
-        return flat_json(self.terms, "z_exponents")
 
 
 def transform(f: AdmissibleFunction) -> ZLaurent:

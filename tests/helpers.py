@@ -124,3 +124,18 @@ def random_admissible(rng, n, l, max_support=4):
         coeff = random_qlaurent(rng, l)
         terms[v] = terms.get(v, tm.QLaurent()) + coeff
     return tm.AdmissibleFunction(terms)
+
+
+def exp_w_partial_sums(data, max_total):
+    """[sum_{k<=K} W^k/k! for K = 0..max_total], from W and the product alone.
+
+    An oracle for ``exp_superpotential`` that does not walk the disc classes.
+    """
+    w = tm.superpotential(data)
+    power = total = tm.ZLaurent({(0,) * data.n: tm.QLaurent.constant(1, data.l)})
+    sums = [total]
+    for k in range(1, max_total + 1):
+        power = (power * w).scale(Fraction(1, k))
+        total = total + power
+        sums.append(total)
+    return sums

@@ -2,13 +2,17 @@ import contextlib
 import hashlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from toricmirror import cli
+from toricmirror.disc_algebra import QLaurent
 from toricmirror.errors import ParseError, UnknownFixture
+from toricmirror.fixtures import fixture
+from toricmirror.syz_transform import exp_superpotential
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -78,6 +82,20 @@ def test_superpotential_terms():
         "coefficient": "1",
     } in terms
     assert len(terms) == 4
+
+
+def test_qlaurent_json_is_sorted():
+    p = QLaurent({(2,): Fraction(1, 8), (0,): 1, (1,): 1})
+    assert [e["q_exponents"] for e in cli._q_rows(p)] == [[0], [1], [2]]
+
+
+def test_zlaurent_json_shape():
+    data = fixture("P2")
+    entries = cli._flat_rows(exp_superpotential(data, 1), "z_exponents")
+    assert all(
+        set(e) == {"z_exponents", "q_exponents", "coefficient"} for e in entries
+    )
+    assert {"z_exponents": [-1, -1], "q_exponents": [1], "coefficient": "1"} in entries
 
 
 def test_phi_series_coefficients():
@@ -226,6 +244,30 @@ def test_presentation_blowup_and_product():
     code, out, _ = run_cli(["presentation", "P1xP2"])
     assert code == 0
     assert json.loads(out)["checks"][0]["details"]["provenance"] == "computed-product"
+
+
+def test_presentation_and_verify_iso_agree_on_the_exact_checks(monkeypatch):
+    # a log derivative among the quantum generators fails the exact check of
+    # both commands, though it vanishes at every critical point
+    from toricmirror import quantum_ring
+
+    build = quantum_ring.presentation_for
+
+    def presentation_for(data):
+        pres = build(data)
+        return quantum_ring.RingPresentation(
+            pres.d, pres.linear_gens, pres.quantum_gens + (pres.linear_gens[0],),
+            pres.provenance)
+
+    monkeypatch.setattr(quantum_ring, "presentation_for", presentation_for)
+    _, out, _ = run_cli(["presentation", "P2"])
+    exact = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    _, out, _ = run_cli(["verify-iso", "P2", "--q", "7/10"])
+    full = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert exact["linear-generators-match-log-derivatives"] == "pass"
+    assert full["linear-generators-map-to-log-derivatives"] == "pass"
+    assert exact["quantum-generators-vanish-under-substitution"] == "fail"
+    assert full["quantum-generators-vanish-at-critical-points"] == "fail"
 
 
 # the README's example input document, its one json block

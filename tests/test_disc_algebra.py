@@ -31,9 +31,15 @@ def test_qlaurent_product_and_negative_exponents():
     assert p.evaluate_exact([Fraction(1, 2), Fraction(2)]) == 4
 
 
-def test_qlaurent_json_is_sorted():
-    p = da.QLaurent({(2,): Fraction(1, 8), (0,): 1, (1,): 1})
-    assert [e["q_exponents"] for e in p.to_json()] == [[0], [1], [2]]
+@pytest.mark.parametrize("cls", (tm.AdmissibleFunction, tm.ZLaurent, tm.DivisorPolynomial),
+                         ids=lambda c: c.__name__)
+def test_qlaurent_valued_maps_reject_other_coefficients(cls):
+    for coeff in (1, Fraction(1, 2), 0):
+        with pytest.raises(TypeError, match="coefficients must be QLaurent, got"):
+            cls({(1,): coeff})
+    # scaling by a number still works: the check is made at construction only
+    f = cls({(1,): qmono(0)})
+    assert f.scale(Fraction(1, 3)) == cls({(1,): qmono(0).scale(Fraction(1, 3))})
 
 
 SPARSE_CLASSES = (tm.QLaurent, tm.AdmissibleFunction, tm.ZLaurent,
@@ -234,7 +240,7 @@ def test_disc_series_rejects_negative_exponents():
 def test_disc_series_equality_is_type_sensitive():
     s = tm.disc_series(data_for("P2"), 2)
     assert tm.DiscSeries(s.terms) == s
-    same_terms = tm.AdmissibleFunction(s.terms)
+    same_terms = tm.QLaurent(s.terms)
     assert same_terms.terms == s.terms
     assert s != same_terms and same_terms != s
 

@@ -415,12 +415,43 @@ def test_verify_isomorphism_quad_generic_q():
 
 def test_verify_isomorphism_blowup():
     data = data_for("BlP2")
-    report = qr.verify_isomorphism(
-        data, qr.presentation_for(data), [Fraction(1, 2), Fraction(3, 10)]
-    )
+    pres = qr.presentation_for(data)
+    report = qr.verify_isomorphism(data, pres, [Fraction(1, 2), Fraction(3, 10)])
     assert report.ok
     assert report.dim == report.point_count == 4
-    assert report.provenance == "builtin-example"
+    assert pres.provenance == "builtin-example"
+
+
+def test_relations_match_on_every_fixture():
+    for name in FIXTURE_NAMES:
+        data = data_for(name)
+        pres = qr.presentation_for(data)
+        assert qr.relations_match(data, pres, tm.superpotential(data)) == (True, True)
+
+
+def test_log_derivative_as_quantum_generator_fails_the_exact_check():
+    # z_1 dW/dz_1 vanishes at every critical point but is not the zero Laurent
+    # polynomial: only the exact comparison tells it from a quantum relation
+    data = data_for("P2")
+    pres = qr.presentation_for(data)
+    spiked = qr.RingPresentation(
+        d=pres.d,
+        linear_gens=pres.linear_gens,
+        quantum_gens=pres.quantum_gens + (pres.linear_gens[0],),
+        provenance=pres.provenance,
+    )
+    assert qr.relations_match(data, spiked, tm.superpotential(data)) == (True, False)
+    q = [Fraction(7, 10)]
+    report = qr.verify_isomorphism(data, spiked, q)
+    image = qr.substitute_divisors(pres.linear_gens[0], data)
+    assert image
+    assert max(map(abs, tm.evaluate_at_critical(image, report.critical_points, q))) < 1e-12
+    checks = {c.name: c for c in report.checks}
+    vanish = checks["quantum-generators-vanish-at-critical-points"]
+    assert not vanish.passed and vanish.details["max_residual"] <= qr.IDEAL_TOL
+    assert checks["linear-generators-map-to-log-derivatives"].passed
+    assert checks["dimension-equals-critical-point-count"].passed
+    assert not report.ok
 
 
 def test_relations_absorbed_by_elimination_are_unstable():
