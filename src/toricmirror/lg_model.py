@@ -7,11 +7,15 @@ exponent rows and coefficients from them.  Critical points of the log
 derivatives are found by multistart Newton iteration in logarithmic
 coordinates u (z = exp(u)), which keeps iterates off the coordinate
 hyperplanes and makes deduplication well defined modulo 2*pi in each
-imaginary part.  All starts iterate together as one S x n batch with one
+imaginary part.  Starts iterate together as one S x n batch with one
 batched linear solve per step.  The Newton settings are fixed: 50 starts per
 expected root (``SolverConfig.start_count``), at most ``MAX_ITER`` = 80
-steps, convergence at residual ``TOL`` = 1e-12, and roots closer than
-``DEDUP_TOL`` = 1e-6 in log coordinates are one root.
+steps, and roots closer than ``DEDUP_TOL`` = 1e-6 in log coordinates are one
+root.  A start converges when each |z_j dW/dz_j| is below ``TOL`` = 1e-12
+times min(1, sum_i |v_ij| |t_i|), the size of that equation's own terms
+t_i, so a root means the same at every scale of q.  A caller that has proved
+W has at most ``bound`` roots runs the starts in draw order, ``ROUND`` = 5
+per expected root at a time, until it holds that many.
 
 Only the float code (``critical_points`` and its helpers) imports numpy, so
 the exact commands that build W or its log derivatives never load it.
@@ -72,6 +76,7 @@ def domain_membership(data, z, q_numeric):
 MAX_ITER = 80
 TOL = 1e-12
 DEDUP_TOL = 1e-6
+ROUND = 5
 
 
 @dataclass
@@ -89,7 +94,7 @@ class CriticalPointSet:
     values: tuple              # W at each point
     monomial_values: tuple     # per point, the d complex term values
     residuals: tuple           # max |z_j dW/dz_j| at each point
-    failed_starts: int = 0
+    failed_starts: int = 0     # of the starts that ran
 
     def __len__(self):
         return len(self.points)
@@ -107,8 +112,10 @@ def _wrapped_distances(us, u):
 def _newton(rays, coeffs, u):
     """Iterate the S x n starts ``u`` in place, as one batch; mask of converged.
 
-    A start fails when its exponents blow up, its residual stops being finite,
-    its Jacobian is singular or it has not converged after ``MAX_ITER`` steps.
+    A start converges when every |z_j dW/dz_j| is below ``TOL`` times the
+    smaller of 1 and the sum of the absolute values of its terms.  It fails
+    when its exponents blow up, its residual stops being finite, its Jacobian
+    is singular or it has not converged after ``MAX_ITER`` steps.
     """
     import numpy as np
 
@@ -116,38 +123,42 @@ def _newton(rays, coeffs, u):
     outer = (rays[:, :, None] * rays[:, None, :]).reshape(len(rays), n * n)
     active = np.arange(len(u))
     done = np.zeros(len(u), dtype=bool)
-    for _ in range(MAX_ITER):
-        if not active.size:
-            break
-        expo = u[active] @ rays.T                         # (S, d)
-        live = np.max(expo.real, axis=1) <= 50.0
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MAX_ITER):
+            if not active.size:
+                break
+            expo = u[active] @ rays.T                         # (S, d)
+            live = np.max(expo.real, axis=1) <= 50.0
             t = coeffs * np.exp(expo)
-            f = t @ rays                                  # (S, n)
-        live &= np.all(np.isfinite(f), axis=1)
-        conv = live & (np.max(np.abs(f), axis=1) < TOL)
-        done[active[conv]] = True
-        keep = live & ~conv
-        jac = (t[keep] @ outer).reshape(-1, n, n)          # (S, n, n)
-        try:
-            step = np.linalg.solve(jac, -f[keep, :, None])
-        except np.linalg.LinAlgError:
-            regular = np.linalg.slogdet(jac)[0] != 0
-            keep[keep] = regular
-            step = np.linalg.solve(jac[regular], -f[keep, :, None])
-        del jac  # hold one Jacobian batch at a time
-        active = active[keep]
-        u[active] += step[..., 0]
+            f = t @ rays                                      # (S, n)
+            live &= np.all(np.isfinite(f), axis=1)
+            scale = np.minimum(1.0, np.abs(t) @ np.abs(rays))
+            conv = live & np.all(np.abs(f) < TOL * scale, axis=1)
+            done[active[conv]] = True
+            keep = live & ~conv
+            jac = (t[keep] @ outer).reshape(-1, n, n)          # (S, n, n)
+            try:
+                step = np.linalg.solve(jac, -f[keep, :, None])
+            except np.linalg.LinAlgError:
+                regular = np.linalg.slogdet(jac)[0] != 0
+                keep[keep] = regular
+                step = np.linalg.solve(jac[regular], -f[keep, :, None])
+            del jac  # hold one Jacobian batch at a time
+            active = active[keep]
+            u[active] += step[..., 0]
     return done
 
 
-def critical_points(w: ZLaurent, q_numeric, config: SolverConfig):
+def critical_points(w: ZLaurent, q_numeric, config: SolverConfig, bound=None):
     """Multistart Newton search for all roots of z_j dW/dz_j = 0.
 
-    All starts are drawn as one array and iterated as one batch.  Roots are
-    deduplicated in draw order and sorted canonically, so the result is
-    deterministic for a fixed seed.  Raises IncompleteRootSet unless exactly
-    ``expected_count`` distinct roots are found.
+    The starts are drawn as one array.  Without ``bound`` they iterate as one
+    batch; with it they iterate in draw order, ``ROUND`` per expected root at
+    a time, and the search stops once it holds ``bound`` distinct roots.  The
+    caller gives ``bound`` only when it has proved W has no more roots.
+    Roots are deduplicated in draw order and sorted canonically, so the
+    result is deterministic for a fixed seed.  Raises IncompleteRootSet
+    unless exactly ``expected_count`` distinct roots are found.
     """
     import numpy as np
 
@@ -157,20 +168,24 @@ def critical_points(w: ZLaurent, q_numeric, config: SolverConfig):
     rng = np.random.default_rng(config.seed)
     shape = (config.start_count(), n)
     u = rng.uniform(-3.0, 3.0, shape) + 1j * rng.uniform(0.0, 2 * np.pi, shape)
-    converged = u[_newton(rays, coeffs, u)]
-    failed = len(u) - len(converged)
-    converged.imag %= 2 * np.pi
-
-    roots = []
-    while len(converged):
-        root, converged = converged[0], converged[1:]
-        roots.append(root)
-        converged = converged[_wrapped_distances(converged, root) >= DEDUP_TOL]
+    size = len(u) if bound is None else ROUND * config.expected_count
+    roots, ran, failed = [], 0, 0
+    while ran < len(u) and (bound is None or len(roots) < bound):
+        batch = u[ran:ran + size]
+        ran += len(batch)
+        converged = batch[_newton(rays, coeffs, batch)]
+        failed += len(batch) - len(converged)
+        converged.imag %= 2 * np.pi
+        for root in roots:
+            converged = converged[_wrapped_distances(converged, root) >= DEDUP_TOL]
+        while len(converged):
+            roots.append(converged[0])
+            converged = converged[_wrapped_distances(converged, roots[-1]) >= DEDUP_TOL]
 
     if len(roots) != config.expected_count:
         raise IncompleteRootSet(
             f"found {len(roots)} distinct critical points, expected "
-            f"{config.expected_count} ({failed} of {len(u)} "
+            f"{config.expected_count} ({failed} of {ran} "
             f"starts failed to converge)"
         )
 

@@ -445,7 +445,9 @@ def verify_isomorphism(data, pres, q_numeric, seed=0):
     critical-point count; (d) for every divisor class the multiplication
     spectrum on the quotient model matches the multiset of monomial values
     at the critical points.  The critical points come from
-    ``critical_points`` at its fixed Newton settings and the given ``seed``.
+    ``critical_points`` at its fixed Newton settings and the given ``seed``;
+    when ``relations_match`` holds both ways the search stops at ``dim``
+    roots, the most W can have.
     """
     qfr = [x if isinstance(x, Fraction) else Fraction(str(x)) for x in q_numeric]
     qfl = [float(x) for x in qfr]
@@ -456,7 +458,10 @@ def verify_isomorphism(data, pres, q_numeric, seed=0):
 
     model = quotient_model(pres, qfr)
     expected = vertex_count_reference(data)
-    cps = critical_points(w, qfl, SolverConfig(expected_count=expected, seed=seed))
+    # matched relations map QH*_q onto Jac(W)_q (z^{v_i} units, rays span Z^n): <= dim roots
+    bound = model.dim if linear_ok and quantum_ok else None
+    cps = critical_points(w, qfl, SolverConfig(expected_count=expected, seed=seed),
+                          bound=bound)
 
     residuals = []
     for g in pres.quantum_gens:

@@ -14,6 +14,8 @@ from toricmirror.errors import ParseError, UnknownFixture
 from toricmirror.fixtures import fixture
 from toricmirror.syz_transform import exp_superpotential
 
+from helpers import PRODUCT_NAMES
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -293,6 +295,39 @@ def test_blowup_rays_with_computed_basis_are_not_a_product(command):
     code, out, _ = run_cli([command, str(BLP2_RAYS)])
     assert code == 1
     assert json.loads(out)["error"]["type"] == "NotAProduct"
+
+
+def test_critical_points_never_stops_early():
+    # only verify-iso has a bound on the number of roots; this command keeps
+    # running all 150 starts and reports the extra root
+    code, out, _ = run_cli(["critical-points", str(BLP2_RAYS), "--q", "1/2,1/3"])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "IncompleteRootSet"
+    assert error["message"].startswith("found 4 distinct critical points, expected 3 (")
+    assert error["message"].endswith(" of 150 starts failed to converge)")
+
+
+@pytest.mark.parametrize("q", ["1e-20", "1e-30"])
+@pytest.mark.parametrize("name", PRODUCT_NAMES)
+@pytest.mark.parametrize("command", ["critical-points", "verify-iso"])
+def test_tiny_q_finds_exactly_the_expected_roots(command, name, q):
+    # an absolute residual test counted 16 to 425 near-roots here
+    code, out, _ = run_cli([command, name, "--q", ",".join([q] * fixture(name).l)])
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert all(c["status"] == "pass" for c in checks.values())
+    if command == "critical-points":
+        count = checks["critical-point-count"]["details"]
+        assert len(count["points"]) == count["expected_count"]
+    else:
+        count = checks["dimension-equals-critical-point-count"]["details"]
+        assert count["points"] == count["dim"] == count["vertices"]
+
+
+def test_verify_iso_at_large_q_passes():
+    code, _, _ = run_cli(["verify-iso", "P2", "--q", "1e6"])
+    assert code == 0
 
 
 def test_verify_iso_passes_and_is_deterministic():

@@ -18,10 +18,12 @@ from toricmirror.lg_model import SolverConfig, _newton, critical_points
 from toricmirror.syz_transform import ZLaurent, inverse_transform
 
 from helpers import (
+    FIXTURE_NAMES,
     PRODUCT_NAMES,
     closed_form_critical_points,
     data_for,
     multiset_distance,
+    product_data,
     solve,
 )
 
@@ -255,7 +257,8 @@ def _newton_one_start(rays, coeffs, u):
         f = rays.T @ t
         if not np.all(np.isfinite(f)):
             return False, u
-        if np.max(np.abs(f)) < lg_model.TOL:
+        scale = np.minimum(1.0, np.abs(rays.T) @ np.abs(t))
+        if np.all(np.abs(f) < lg_model.TOL * scale):
             return True, u
         try:
             u = u + np.linalg.solve(rays.T @ (t[:, None] * rays), -f)
@@ -295,6 +298,48 @@ def test_every_start_failing_is_reported(monkeypatch):
     cfg = SolverConfig(expected_count=3, seed=0)
     with pytest.raises(IncompleteRootSet, match="150 of 150 starts failed"):
         critical_points(tm.superpotential(data), [1.0], cfg)
+
+
+# the five fixtures, then P3, P6, (P1)^3, (P2)^3 and (P1)^4 built from rays
+BOUNDED_INPUTS = FIXTURE_NAMES + ((3,), (6,), (1, 1, 1), (2, 2, 2), (1, 1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "name", BOUNDED_INPUTS,
+    ids=lambda x: x if isinstance(x, str) else "x".join(f"P{m}" for m in x),
+)
+def test_bounded_search_returns_the_unbounded_roots(name):
+    data = data_for(name) if name in FIXTURE_NAMES else product_data(name)
+    w = tm.superpotential(data)
+    expected = tm.vertex_count_reference(data)
+    for q0 in (0.03, 0.7, 20.0):
+        for seed in (0, 11):
+            cfg = SolverConfig(expected_count=expected, seed=seed)
+            full = np.array(critical_points(w, [q0] * data.l, cfg).monomial_values)
+            bounded = np.array(
+                critical_points(w, [q0] * data.l, cfg, bound=expected).monomial_values
+            )
+            assert full.shape == bounded.shape
+            gaps = np.max(np.abs(full[:, None] - bounded[None]), axis=-1)
+            assert np.all(gaps.min(axis=0) < 1e-12) and np.all(gaps.min(axis=1) < 1e-12)
+
+
+def test_bounded_search_stops_after_the_round_that_holds_the_bound(monkeypatch):
+    ran = []
+
+    def counting_newton(rays, coeffs, u):
+        ran.append(len(u))
+        return _newton(rays, coeffs, u)
+
+    monkeypatch.setattr(lg_model, "_newton", counting_newton)
+    w = tm.superpotential(data_for("P2"))
+    cfg = SolverConfig(expected_count=3, seed=0)
+    bounded = critical_points(w, [1.0], cfg, bound=3)
+    assert ran == [lg_model.ROUND * 3]
+    assert bounded.failed_starts <= lg_model.ROUND * 3
+    ran.clear()
+    assert critical_points(w, [1.0], cfg).points == bounded.points
+    assert ran == [cfg.start_count()]
 
 
 # --- the mirror layer on a hand-built W ---------------------------------------

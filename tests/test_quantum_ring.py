@@ -429,17 +429,21 @@ def test_relations_match_on_every_fixture():
         assert qr.relations_match(data, pres, tm.superpotential(data)) == (True, True)
 
 
-def test_log_derivative_as_quantum_generator_fails_the_exact_check():
-    # z_1 dW/dz_1 vanishes at every critical point but is not the zero Laurent
-    # polynomial: only the exact comparison tells it from a quantum relation
-    data = data_for("P2")
-    pres = qr.presentation_for(data)
-    spiked = qr.RingPresentation(
+def _with_log_derivative_as_quantum_generator(pres):
+    return qr.RingPresentation(
         d=pres.d,
         linear_gens=pres.linear_gens,
         quantum_gens=pres.quantum_gens + (pres.linear_gens[0],),
         provenance=pres.provenance,
     )
+
+
+def test_log_derivative_as_quantum_generator_fails_the_exact_check():
+    # z_1 dW/dz_1 vanishes at every critical point but is not the zero Laurent
+    # polynomial: only the exact comparison tells it from a quantum relation
+    data = data_for("P2")
+    pres = qr.presentation_for(data)
+    spiked = _with_log_derivative_as_quantum_generator(pres)
     assert qr.relations_match(data, spiked, tm.superpotential(data)) == (True, False)
     q = [Fraction(7, 10)]
     report = qr.verify_isomorphism(data, spiked, q)
@@ -452,6 +456,24 @@ def test_log_derivative_as_quantum_generator_fails_the_exact_check():
     assert checks["linear-generators-map-to-log-derivatives"].passed
     assert checks["dimension-equals-critical-point-count"].passed
     assert not report.ok
+
+
+def test_newton_is_bounded_by_the_dimension_only_when_the_relations_match(monkeypatch):
+    bounds = []
+
+    def spy(w, q, config, bound=None):
+        bounds.append(bound)
+        return tm.critical_points(w, q, config, bound=bound)
+
+    monkeypatch.setattr(qr, "critical_points", spy)
+    data = data_for("P2")
+    pres = qr.presentation_for(data)
+    q = [Fraction(7, 10)]
+    assert qr.verify_isomorphism(data, pres, q).ok
+    assert not qr.verify_isomorphism(
+        data, _with_log_derivative_as_quantum_generator(pres), q
+    ).ok
+    assert bounds == [3, None]
 
 
 def test_relations_absorbed_by_elimination_are_unstable():
