@@ -180,10 +180,10 @@ def inverse(mat):
 def unimodular_inverse(mat):
     """Exact integer inverse of a square matrix with determinant +-1.
 
-    Returns None when the determinant is not a unit, which for an integer
-    matrix is exactly when its rational inverse is missing or not integral.
+    One fraction-free reduction of [mat | I]: the inverse is the adjugate
+    times det, and None is returned when det is not +-1.
     """
-    inv = inverse(mat)
-    if inv is None or any(v.denominator != 1 for row in inv for v in row):
-        return None
-    return [[int(v) for v in row] for row in inv]
+    n = len(mat)
+    rows = [list(row) + [int(c == r) for c in range(n)] for r, row in enumerate(mat)]
+    det, adj = cramer(rows, n)
+    return [[det * x for x in row] for row in adj] if det in (1, -1) else None

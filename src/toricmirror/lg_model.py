@@ -14,8 +14,8 @@ steps, and roots closer than ``DEDUP_TOL`` = 1e-6 in log coordinates are one
 root.  A start converges when each |z_j dW/dz_j| is below ``TOL`` = 1e-12
 times min(1, sum_i |v_ij| |t_i|), the size of that equation's own terms
 t_i, so a root means the same at every scale of q.  A caller that has proved
-W has at most ``bound`` roots runs the starts in draw order, ``ROUND`` = 5
-per expected root at a time, until it holds that many.
+W has at most k roots may pass k seed starts; they run first, and the
+random starts run only when the seeds miss a root.
 
 Only the float code (``critical_points`` and its helpers) imports numpy, so
 the exact commands that build W or its log derivatives never load it.
@@ -76,7 +76,6 @@ def domain_membership(data, z, q_numeric):
 MAX_ITER = 80
 TOL = 1e-12
 DEDUP_TOL = 1e-6
-ROUND = 5
 
 
 @dataclass
@@ -95,6 +94,7 @@ class CriticalPointSet:
     monomial_values: tuple     # per point, the d complex term values
     residuals: tuple           # max |z_j dW/dz_j| at each point
     failed_starts: int = 0     # of the starts that ran
+    starts: int = 0            # that ran, seeds included
 
     def __len__(self):
         return len(self.points)
@@ -149,16 +149,15 @@ def _newton(rays, coeffs, u):
     return done
 
 
-def critical_points(w: ZLaurent, q_numeric, config: SolverConfig, bound=None):
+def critical_points(w: ZLaurent, q_numeric, config: SolverConfig, seeds=None):
     """Multistart Newton search for all roots of z_j dW/dz_j = 0.
 
-    The starts are drawn as one array.  Without ``bound`` they iterate as one
-    batch; with it they iterate in draw order, ``ROUND`` per expected root at
-    a time, and the search stops once it holds ``bound`` distinct roots.  The
-    caller gives ``bound`` only when it has proved W has no more roots.
-    Roots are deduplicated in draw order and sorted canonically, so the
-    result is deterministic for a fixed seed.  Raises IncompleteRootSet
-    unless exactly ``expected_count`` distinct roots are found.
+    ``seeds`` are log-coordinate starts that run first, as their own batch;
+    a caller gives them only when W has at most ``len(seeds)`` roots, so the
+    random starts, drawn as one array and run as one batch, run only when
+    the seeds miss a root.  Roots are deduplicated in run order and sorted
+    canonically, so the result is deterministic for a fixed seed.  Raises
+    IncompleteRootSet unless exactly ``expected_count`` roots are found.
     """
     import numpy as np
 
@@ -168,10 +167,10 @@ def critical_points(w: ZLaurent, q_numeric, config: SolverConfig, bound=None):
     rng = np.random.default_rng(config.seed)
     shape = (config.start_count(), n)
     u = rng.uniform(-3.0, 3.0, shape) + 1j * rng.uniform(0.0, 2 * np.pi, shape)
-    size = len(u) if bound is None else ROUND * config.expected_count
     roots, ran, failed = [], 0, 0
-    while ran < len(u) and (bound is None or len(roots) < bound):
-        batch = u[ran:ran + size]
+    for batch in [u] if seeds is None else [np.array(seeds, dtype=complex), u]:
+        if seeds is not None and len(roots) == len(seeds):
+            break
         ran += len(batch)
         converged = batch[_newton(rays, coeffs, batch)]
         failed += len(batch) - len(converged)
@@ -215,6 +214,7 @@ def critical_points(w: ZLaurent, q_numeric, config: SolverConfig, bound=None):
         monomial_values=tuple(rec[2] for rec in records),
         residuals=tuple(rec[3] for rec in records),
         failed_starts=failed,
+        starts=ran,
     )
 
 

@@ -11,15 +11,15 @@ is chosen from the fan's data by ``presentation_for``: for products of
 projective spaces, which ``toric_core.product_structure`` detects, the
 quantum relations are computed (one per factor), and an input with the
 blowup example's rays, kernel basis and facet monomials gets that example's
-built-in relations.  A finite-dimensional
-quotient model is built at exact rational q: one row reduction of the linear
-relations writes every divisor variable as a linear form in the free ones,
-and a reduced Groebner basis of the quantum relations in those variables
-gives the standard monomials.  Multiplication by each of the l free
-variables is built once as a sparse exact operator; each divisor's
-multiplication is the combination its linear form gives.  Its spectrum,
-from a float array filled at the nonzero entries only, is compared with
-point evaluations at the critical points of the superpotential.
+built-in relations.  A finite-dimensional quotient model is built at exact
+rational q: one row reduction of the linear relations writes every divisor
+variable as a linear form in the free ones, and a reduced Groebner basis of
+the quantum relations in those variables gives the standard monomials.
+Multiplication by each of the l free variables is built once as a sparse
+exact operator; each divisor's is the combination its linear form gives.
+The divisors' matrices form one float stack: its spectra are compared with
+point evaluations at the critical points of the superpotential, and its
+common eigenvectors are where Newton starts its search for those points.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from operator import add, sub
 
 from . import _intlinalg as ila
@@ -283,7 +284,9 @@ class QuotientModel:
 
     def multiplication_entries(self, p):
         """Nonzero entries {(row, col): c} of multiplication by p on the basis."""
-        reduced = self.reduce_divisor_poly(p)
+        return self._entries(self.reduce_divisor_poly(p))
+
+    def _entries(self, reduced):  # ``reduced``: a polynomial in the free variables
         entries = {}
         for col in range(self.dim):
             acc = {}
@@ -386,15 +389,52 @@ def quotient_model(pres, q_rational):
     return QuotientModel(basis, free, forms, tuple(groebner), qvals)
 
 
-def multiplication_spectrum(model, p):
-    """Eigenvalues (with multiplicity) of multiplication by p on the model."""
+def _float_stack(model, entry_maps):  # exact {(row, col): c} maps -> (k, dim, dim)
     import numpy as np
 
-    arr = np.zeros((model.dim, model.dim))
-    for (row, col), c in model.multiplication_entries(p).items():
-        arr[row, col] = c.numerator / c.denominator  # what float(c) computes
-    eig = [complex(v) for v in np.linalg.eigvals(arr)]
-    return sorted(eig, key=lambda zc: (zc.real, zc.imag))
+    mats = np.zeros((len(entry_maps), model.dim, model.dim))
+    for arr, entries in zip(mats, entry_maps):
+        for (row, col), c in entries.items():
+            arr[row, col] = c.numerator / c.denominator  # what float(c) computes
+    return mats
+
+
+def _spectra(mats):  # the sorted eigenvalues of each matrix, from one eigvals call
+    import numpy as np
+
+    return [sorted(map(complex, eig), key=lambda zc: (zc.real, zc.imag))
+            for eig in np.linalg.eigvals(mats)]
+
+
+def multiplication_spectrum(model, p):
+    """Eigenvalues (with multiplicity) of multiplication by p on the model."""
+    return _spectra(_float_stack(model, [model.multiplication_entries(p)]))[0]
+
+
+def divisor_matrices(model):
+    """Multiplication by each D_i, its linear form applied exactly, as floats."""
+    return _float_stack(model, [model._entries(form) for form in model.forms])
+
+
+def _eigenvector_starts(data, mats, q_numeric):
+    """Log-coordinate Newton starts, one per left eigenvector v of sum_i w_i D_i.
+
+    v holds the basis monomials' values at a point and basis[0] = 1, so term i
+    is t_i = (D_i 1).v / v[0]; u solves through n rays with an integer inverse.
+    """
+    import numpy as np
+
+    for subset in map(list, combinations(range(data.d), data.n)):
+        inv = ila.unimodular_inverse([data.rays[i] for i in subset])
+        if inv is not None:
+            break
+    else:
+        return None
+    vecs = np.linalg.eig(np.tensordot(np.arange(2, data.d + 2) ** -0.5, mats, 1).T)[1] + 0j
+    log_c = np.array(data.lambda_exponents, dtype=float)[subset] @ np.log(q_numeric)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_t = np.log(mats[subset, :, 0] @ vecs / vecs[0])         # (n, dim)
+        return (np.array(inv) @ (log_t - log_c[:, None])).T
 
 
 def match_multisets(left, right):
@@ -446,8 +486,8 @@ def verify_isomorphism(data, pres, q_numeric, seed=0):
     spectrum on the quotient model matches the multiset of monomial values
     at the critical points.  The critical points come from
     ``critical_points`` at its fixed Newton settings and the given ``seed``;
-    when ``relations_match`` holds both ways the search stops at ``dim``
-    roots, the most W can have.
+    when ``relations_match`` holds both ways, Newton starts first at the common
+    eigenvectors of the divisor matrices, one float stack that gives every spectrum.
     """
     qfr = [x if isinstance(x, Fraction) else Fraction(str(x)) for x in q_numeric]
     qfl = [float(x) for x in qfr]
@@ -457,11 +497,12 @@ def verify_isomorphism(data, pres, q_numeric, seed=0):
                           {"generators": len(pres.linear_gens)})]
 
     model = quotient_model(pres, qfr)
+    mats = divisor_matrices(model)
     expected = vertex_count_reference(data)
     # matched relations map QH*_q onto Jac(W)_q (z^{v_i} units, rays span Z^n): <= dim roots
-    bound = model.dim if linear_ok and quantum_ok else None
+    seeds = _eigenvector_starts(data, mats, qfl) if linear_ok and quantum_ok else None
     cps = critical_points(w, qfl, SolverConfig(expected_count=expected, seed=seed),
-                          bound=bound)
+                          seeds=seeds)
 
     residuals = []
     for g in pres.quantum_gens:
@@ -488,15 +529,14 @@ def verify_isomorphism(data, pres, q_numeric, seed=0):
         CheckResult(
             "dimension-equals-critical-point-count",
             dims_ok,
-            {"dim": model.dim, "points": len(cps), "vertices": expected},
+            {"dim": model.dim, "points": len(cps), "vertices": expected,
+             "starts": cps.starts, "failed_starts": cps.failed_starts},
         )
     )
 
     spectra = {}
     worst_spectral = 0.0
-    for i in range(data.d):
-        cls = DivisorPolynomial.variable(data.d, i, data.l)
-        eig = multiplication_spectrum(model, cls)
+    for i, eig in enumerate(_spectra(mats)):
         evals = [mv[i] for mv in cps.monomial_values]
         dist = match_multisets(eig, evals)
         worst_spectral = max(worst_spectral, dist)

@@ -308,6 +308,25 @@ def test_critical_points_never_stops_early():
     assert error["message"].endswith(" of 150 starts failed to converge)")
 
 
+def test_verify_iso_finds_the_far_blowup_root_only_from_the_model():
+    # the fourth root sits at log|z_2| ~ -9.2, beyond the random starts'
+    # Re u in [-3, 3]; verify-iso starts Newton at the model's eigenvectors,
+    # critical-points has no model and still misses it
+    code, out, _ = run_cli(["verify-iso", "BlP2", "--q", "1,1e-4"])
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert all(c["status"] == "pass" for c in checks.values())
+    count = checks["dimension-equals-critical-point-count"]["details"]
+    assert (count["points"], count["starts"], count["failed_starts"]) == (4, 4, 0)
+    code, out, _ = run_cli(["critical-points", "BlP2", "--q", "1,1e-4"])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "IncompleteRootSet",
+        "message": "found 3 distinct critical points, expected 4 "
+                   "(1 of 200 starts failed to converge)",
+    }
+
+
 @pytest.mark.parametrize("q", ["1e-20", "1e-30"])
 @pytest.mark.parametrize("name", PRODUCT_NAMES)
 @pytest.mark.parametrize("command", ["critical-points", "verify-iso"])

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from toricmirror.errors import (
     ZeroCoordinate,
 )
 from toricmirror import lg_model
+from toricmirror import quantum_ring as qr
 from toricmirror.lg_model import SolverConfig, _newton, critical_points
 from toricmirror.syz_transform import ZLaurent, inverse_transform
 
@@ -302,6 +304,23 @@ def test_every_start_failing_is_reported(monkeypatch):
 
 # the five fixtures, then P3, P6, (P1)^3, (P2)^3 and (P1)^4 built from rays
 BOUNDED_INPUTS = FIXTURE_NAMES + ((3,), (6,), (1, 1, 1), (2, 2, 2), (1, 1, 1, 1))
+# every rung of perfbench's newton-ladder and quotient-ladder
+LADDER_RUNGS = ((2,), (3,), (4,), (5,), (6,), (1, 2), (1, 3), (2, 2),
+                (1, 1, 1), (2, 2, 2), (1, 1, 1, 1))
+
+
+def _input(name):
+    data = data_for(name) if name in FIXTURE_NAMES else product_data(name)
+    return data, qr.presentation_for(data)
+
+
+def _same_roots(a, b, tol):
+    """Whether two lists of term-value rows agree as multisets, relatively."""
+    a, b = np.array(a), np.array(b)
+    if a.shape != b.shape:
+        return False
+    gaps = np.max(np.abs(a[:, None] - b[None]), axis=-1) / np.max(np.abs(a), axis=-1)[:, None]
+    return bool(np.all(gaps.min(axis=0) <= tol) and np.all(gaps.min(axis=1) <= tol))
 
 
 @pytest.mark.parametrize(
@@ -309,22 +328,22 @@ BOUNDED_INPUTS = FIXTURE_NAMES + ((3,), (6,), (1, 1, 1), (2, 2, 2), (1, 1, 1, 1)
     ids=lambda x: x if isinstance(x, str) else "x".join(f"P{m}" for m in x),
 )
 def test_bounded_search_returns_the_unbounded_roots(name):
-    data = data_for(name) if name in FIXTURE_NAMES else product_data(name)
+    # verify-iso's eigenvector starts find the roots the random search finds
+    data, pres = _input(name)
     w = tm.superpotential(data)
     expected = tm.vertex_count_reference(data)
-    for q0 in (0.03, 0.7, 20.0):
+    for q0 in (Fraction(1, 30), Fraction(7, 10), Fraction(1), Fraction(20)):
         for seed in (0, 11):
             cfg = SolverConfig(expected_count=expected, seed=seed)
-            full = np.array(critical_points(w, [q0] * data.l, cfg).monomial_values)
-            bounded = np.array(
-                critical_points(w, [q0] * data.l, cfg, bound=expected).monomial_values
-            )
-            assert full.shape == bounded.shape
-            gaps = np.max(np.abs(full[:, None] - bounded[None]), axis=-1)
-            assert np.all(gaps.min(axis=0) < 1e-12) and np.all(gaps.min(axis=1) < 1e-12)
+            full = critical_points(w, [float(q0)] * data.l, cfg).monomial_values
+            report = qr.verify_isomorphism(data, pres, [q0] * data.l, seed=seed)
+            assert report.ok
+            assert _same_roots(full, report.critical_points.monomial_values, 1e-9)
 
 
 def test_bounded_search_stops_after_the_round_that_holds_the_bound(monkeypatch):
+    # on every ladder rung the eigenvector starts hold every root: one Newton
+    # batch of dim starts, and no draw runs
     ran = []
 
     def counting_newton(rays, coeffs, u):
@@ -332,14 +351,37 @@ def test_bounded_search_stops_after_the_round_that_holds_the_bound(monkeypatch):
         return _newton(rays, coeffs, u)
 
     monkeypatch.setattr(lg_model, "_newton", counting_newton)
-    w = tm.superpotential(data_for("P2"))
-    cfg = SolverConfig(expected_count=3, seed=0)
-    bounded = critical_points(w, [1.0], cfg, bound=3)
-    assert ran == [lg_model.ROUND * 3]
-    assert bounded.failed_starts <= lg_model.ROUND * 3
-    ran.clear()
-    assert critical_points(w, [1.0], cfg).points == bounded.points
-    assert ran == [cfg.start_count()]
+    for dims in LADDER_RUNGS:
+        data, pres = _input(dims)
+        for q0 in (Fraction(1, 100), Fraction(2, 5), Fraction(100)):
+            ran.clear()
+            report = qr.verify_isomorphism(data, pres, [q0] * data.l, seed=1)
+            assert report.ok
+            assert ran == [report.dim]
+            counts = {c.name: c for c in report.checks}["dimension-equals-critical-point-count"]
+            assert counts.details["starts"] == report.dim
+            assert counts.details["failed_starts"] == 0
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["nan-seeds", "far-seeds"])
+@pytest.mark.parametrize("name", ("P2", "P1xP2", "BlP2", (1, 1, 1)),
+                         ids=lambda x: x if isinstance(x, str) else "x".join(f"P{m}" for m in x))
+def test_seeds_that_miss_fall_back_to_the_draws(monkeypatch, name, far):
+    data, pres = _input(name)
+    q = [Fraction(7, 10)] * data.l
+    seeded = qr.verify_isomorphism(data, pres, q, seed=2)
+    fill = 40.0 if far else np.nan
+    monkeypatch.setattr(qr, "_eigenvector_starts",
+                        lambda data, mats, q: np.full((seeded.dim, data.n), fill + 0j))
+    report = qr.verify_isomorphism(data, pres, q, seed=2)
+    assert report.ok
+    assert _same_roots(seeded.critical_points.monomial_values,
+                       report.critical_points.monomial_values, 1e-9)
+    counts = {c.name: c for c in report.checks}["dimension-equals-critical-point-count"]
+    draws = SolverConfig(expected_count=report.dim).start_count()
+    assert counts.details["starts"] == report.dim + draws
+    if not far:
+        assert counts.details["failed_starts"] >= report.dim
 
 
 # --- the mirror layer on a hand-built W ---------------------------------------

@@ -461,9 +461,9 @@ def test_log_derivative_as_quantum_generator_fails_the_exact_check():
 def test_newton_is_bounded_by_the_dimension_only_when_the_relations_match(monkeypatch):
     bounds = []
 
-    def spy(w, q, config, bound=None):
-        bounds.append(bound)
-        return tm.critical_points(w, q, config, bound=bound)
+    def spy(w, q, config, seeds=None):
+        bounds.append(None if seeds is None else len(seeds))
+        return tm.critical_points(w, q, config, seeds=seeds)
 
     monkeypatch.setattr(qr, "critical_points", spy)
     data = data_for("P2")
@@ -474,6 +474,26 @@ def test_newton_is_bounded_by_the_dimension_only_when_the_relations_match(monkey
         data, _with_log_derivative_as_quantum_generator(pres), q
     ).ok
     assert bounds == [3, None]
+
+
+# the five fixtures and every rung of perfbench's two ladders
+SPECTRUM_INPUTS = FIXTURE_NAMES + ((3,), (4,), (5,), (6,), (1, 3), (1, 1, 1),
+                                   (2, 2, 2), (1, 1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "name", SPECTRUM_INPUTS,
+    ids=lambda x: x if isinstance(x, str) else "x".join(f"P{m}" for m in x),
+)
+def test_batched_spectra_equal_the_spectrum_of_each_divisor(name):
+    data = data_for(name) if name in FIXTURE_NAMES else product_data(name)
+    pres = qr.presentation_for(data)
+    q = [Fraction(2, 3) + Fraction(k, 7) for k in range(data.l)]
+    report = qr.verify_isomorphism(data, pres, q)
+    model = qr.quotient_model(pres, q)
+    for i in range(data.d):
+        cls = qr.DivisorPolynomial.variable(data.d, i, data.l)
+        assert report.spectra[i]["eigenvalues"] == qr.multiplication_spectrum(model, cls)
 
 
 def test_relations_absorbed_by_elimination_are_unstable():
