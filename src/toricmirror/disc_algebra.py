@@ -198,6 +198,9 @@ class SparseTerms:
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms
 
+    def __hash__(self):  # coefficients are never mutated (see add_into)
+        return hash(frozenset(self.terms.items()))
+
     def __add__(self, other):
         return self._wrap(add_into(dict(self.terms), other.terms.items()))
 
@@ -254,10 +257,10 @@ class QLaurent(SparseTerms):
     def evaluate_exact(self, qvals):
         """Exact value at rational parameters."""
         total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
+        for e, term in self.terms.items():
             for q, p in zip(qvals, e):
-                term *= Fraction(q) ** p
+                if p:
+                    term *= Fraction(q) ** p
             total += term
         return total
 

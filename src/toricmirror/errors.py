@@ -75,6 +75,10 @@ class EmptyQuotient(ToricMirrorError):
     """The quotient ring collapsed to zero."""
 
 
+class NonUnitLeadingCoefficient(ToricMirrorError):
+    """A Groebner basis over Q[q^{+-1}] needs a leading coefficient a q^beta."""
+
+
 # --- front end -----------------------------------------------------------
 
 class UnknownFixture(ToricMirrorError):

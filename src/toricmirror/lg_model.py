@@ -15,7 +15,7 @@ root.  A start converges when each |z_j dW/dz_j| is below ``TOL`` = 1e-12
 times min(1, sum_i |v_ij| |t_i|), the size of that equation's own terms
 t_i, so a root means the same at every scale of q.  A caller that has proved
 W has at most k roots may pass k seed starts; they run first, and the
-random starts run only when the seeds miss a root.
+random starts are drawn and run only when the seeds miss a root.
 
 Only the float code (``critical_points`` and its helpers) imports numpy, so
 the exact commands that build W or its log derivatives never load it.
@@ -154,7 +154,7 @@ def critical_points(w: ZLaurent, q_numeric, config: SolverConfig, seeds=None):
 
     ``seeds`` are log-coordinate starts that run first, as their own batch;
     a caller gives them only when W has at most ``len(seeds)`` roots, so the
-    random starts, drawn as one array and run as one batch, run only when
+    random starts, one array run as one batch, are drawn and run only when
     the seeds miss a root.  Roots are deduplicated in run order and sorted
     canonically, so the result is deterministic for a fixed seed.  Raises
     IncompleteRootSet unless exactly ``expected_count`` roots are found.
@@ -164,13 +164,14 @@ def critical_points(w: ZLaurent, q_numeric, config: SolverConfig, seeds=None):
     rays = np.array(list(w.terms), dtype=float)      # (d, n)
     n = rays.shape[1]
     coeffs = np.array(_coefficients(w, q_numeric))   # (d,)
-    rng = np.random.default_rng(config.seed)
-    shape = (config.start_count(), n)
-    u = rng.uniform(-3.0, 3.0, shape) + 1j * rng.uniform(0.0, 2 * np.pi, shape)
     roots, ran, failed = [], 0, 0
-    for batch in [u] if seeds is None else [np.array(seeds, dtype=complex), u]:
-        if seeds is not None and len(roots) == len(seeds):
-            break
+    for batch in [None] if seeds is None else [np.array(seeds, dtype=complex), None]:
+        if batch is None:  # the random starts, drawn only when they run
+            if seeds is not None and len(roots) == len(seeds):
+                break
+            rng = np.random.default_rng(config.seed)
+            shape = (config.start_count(), n)
+            batch = rng.uniform(-3.0, 3.0, shape) + 1j * rng.uniform(0.0, 2 * np.pi, shape)
         ran += len(batch)
         converged = batch[_newton(rays, coeffs, batch)]
         failed += len(batch) - len(converged)

@@ -11,24 +11,27 @@ is chosen from the fan's data by ``presentation_for``: for products of
 projective spaces, which ``toric_core.product_structure`` detects, the
 quantum relations are computed (one per factor), and an input with the
 blowup example's rays, kernel basis and facet monomials gets that example's
-built-in relations.  A finite-dimensional quotient model is built at exact
-rational q: one row reduction of the linear relations writes every divisor
-variable as a linear form in the free ones, and a reduced Groebner basis of
-the quantum relations in those variables gives the standard monomials.
-Multiplication by each of the l free variables is built once as a sparse
-exact operator; each divisor's is the combination its linear form gives.
-The divisors' matrices form one float stack: its spectra are compared with
-point evaluations at the critical points of the superpotential, and its
-common eigenvectors are where Newton starts its search for those points.
+built-in relations.  One finite-dimensional quotient model per presentation
+is built over Q[q^{+-1}] and kept: one row reduction of the linear relations
+writes every divisor variable as a linear form in the free ones, and a reduced
+Groebner basis of the quantum relations in those variables, monic over units
+a q^beta, gives the standard monomials and a sparse operator per free
+variable.  QH* is a flat deformation of H*, so that basis serves every q, and
+``verify_isomorphism`` only evaluates the model at its q: the divisors'
+matrices as one float stack, whose spectra are compared with point
+evaluations at the critical points of W and whose common eigenvectors are
+where Newton starts its search for those points.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import add, sub
+from types import SimpleNamespace
 
 from . import _intlinalg as ila
 from .disc_algebra import (
@@ -41,7 +44,8 @@ from .disc_algebra import (
     product,
     row_sums,
 )
-from .errors import DimensionUnstable, EmptyQuotient, NotAProduct
+from .errors import (DimensionUnstable, EmptyQuotient, NonUnitLeadingCoefficient,
+                     NotAProduct)
 from .fixtures import fixture
 from .lg_model import (
     SolverConfig,
@@ -68,41 +72,26 @@ class DivisorPolynomial(SparseTerms):
 
 def linear_ideal(data):
     """Generators sum_i v_i^j D_i of the linear-equivalence ideal, j = 1..n."""
-    gens = []
-    for j in range(data.n):
-        gens.append(
-            DivisorPolynomial(
-                [
-                    (
-                        tuple(1 if t == i else 0 for t in range(data.d)),
-                        QLaurent.constant(data.rays[i][j], data.l),
-                    )
-                    for i in range(data.d)
-                    if data.rays[i][j]
-                ]
-            )
-        )
-    return gens
+    return [
+        DivisorPolynomial([(tuple(int(t == i) for t in range(data.d)),
+                            QLaurent.constant(v[j], data.l))
+                           for i, v in enumerate(data.rays) if v[j]])
+        for j in range(data.n)
+    ]
 
 
 def quantum_sr_ideal(data, factorization):
     """One quantum monomial relation per factor: prod_j D_{j,a} - q^{delta_a}."""
     if factorization is None:
         raise NotAProduct("fan is not a product of projective-space fans")
-    gens = []
-    for block in factorization.factors:
-        mono = [0] * data.d
-        for i in block.ray_indices:
-            mono[i] = 1
-        gens.append(
-            DivisorPolynomial(
-                [
-                    (tuple(mono), QLaurent.constant(1, data.l)),
-                    ((0,) * data.d, QLaurent.monomial(block.q_exponents, -1)),
-                ]
-            )
-        )
-    return gens
+    return [
+        DivisorPolynomial([
+            (tuple(int(i in block.ray_indices) for i in range(data.d)),
+             QLaurent.constant(1, data.l)),
+            ((0,) * data.d, QLaurent.monomial(block.q_exponents, -1)),
+        ])
+        for block in factorization.factors
+    ]
 
 
 @dataclass(frozen=True)
@@ -116,13 +105,10 @@ class RingPresentation:
 def _blowup_relations(l):
     """The blowup example's quantum relations, in its fixture's kernel basis."""
     one = QLaurent.constant(1, l)
-    q1 = QLaurent.monomial((1, 0))
-    q2 = QLaurent.monomial((0, 1))
+    minus_q1, minus_q2 = QLaurent.monomial((1, 0), -1), QLaurent.monomial((0, 1), -1)
     return (
-        # D1*D3 - q1*D4
-        DivisorPolynomial([((1, 0, 1, 0), one), ((0, 0, 0, 1), q1.scale(-1))]),
-        # D2*D4 - q2
-        DivisorPolynomial([((0, 1, 0, 1), one), ((0, 0, 0, 0), q2.scale(-1))]),
+        DivisorPolynomial([((1, 0, 1, 0), one), ((0, 0, 0, 1), minus_q1)]),  # D1*D3 - q1*D4
+        DivisorPolynomial([((0, 1, 0, 1), one), ((0, 0, 0, 0), minus_q2)]),  # D2*D4 - q2
     )
 
 
@@ -140,17 +126,10 @@ def presentation_for(data, factorization=None):
     elif data == fixture("BlP2"):
         quantum, provenance = _blowup_relations(data.l), "builtin-example"
     else:
-        raise NotAProduct(
-            "no ring presentation available: the fan is not a product of "
-            "projective-space fans and its rays, kernel basis and facet "
-            "monomials are not those of the builtin blowup example"
-        )
-    return RingPresentation(
-        d=data.d,
-        linear_gens=tuple(linear_ideal(data)),
-        quantum_gens=tuple(quantum),
-        provenance=provenance,
-    )
+        raise NotAProduct("no ring presentation available: the fan is not a product of "
+                          "projective-space fans and its rays, kernel basis and facet "
+                          "monomials are not those of the builtin blowup example")
+    return RingPresentation(data.d, tuple(linear_ideal(data)), tuple(quantum), provenance)
 
 
 def substitute_divisors(p, data):
@@ -173,7 +152,7 @@ def relations_match(data, pres, w):
     return linear == jacobian_generators(w), quantum_ok
 
 
-# --- exact quotient model --------------------------------------------------
+# --- quotient model over Q[q^{+-1}] ----------------------------------------------
 
 def _grevlex(m):
     """Sort key of the graded reverse lexicographic monomial order."""
@@ -185,9 +164,19 @@ def _divides(a, b):
 
 
 def _monic(p):
-    """Plain dict -> (leading monomial, tail divided by the leading coefficient)."""
+    """Plain dict -> (leading monomial, tail divided by the leading coefficient).
+
+    A QLaurent coefficient must be a unit a q^beta, whose inverse is (1/a) q^-beta."""
     lead = max(p, key=_grevlex)
-    return lead, {m: v / p[lead] for m, v in p.items() if m != lead}
+    c = p[lead]
+    if not isinstance(c, QLaurent):
+        inverse = 1 / c
+    elif len(c.terms) == 1:
+        ((beta, a),) = c.terms.items()
+        inverse = QLaurent._wrap({tuple(-b for b in beta): 1 / a})
+    else:
+        raise NonUnitLeadingCoefficient(f"leading coefficient {c!r} is not a unit a*q^beta")
+    return lead, {m: v * inverse for m, v in p.items() if m != lead}
 
 
 def _remainder(p, basis):
@@ -243,39 +232,38 @@ def groebner_basis(gens):
 class QuotientModel:
     """Finite-dimensional model of the quotient by linear + quantum relations.
 
-    Built by eliminating the linear relations exactly and computing a reduced
-    grevlex Groebner basis of the quantum ones at exact rational q.  The basis
-    is the set of standard monomials in the remaining l divisor variables.
-    Multiplication by each free variable is built once, column by column, as
-    sparse {row: coefficient} maps; every other operator is a polynomial in
-    those, applied exactly.
+    Its coefficients are QLaurent (``_laurent_model``) or rational (``at`` q).
+    The basis is the set of standard monomials in the l free divisor variables.
+    Multiplication by each free variable is a tuple of sparse {row: c} columns;
+    every other operator is a polynomial in those, applied exactly.
     """
 
-    def __init__(self, basis, free_indices, forms, groebner, qvals):
+    def __init__(self, basis, free_indices, forms, groebner, operators, qvals=None):
         self.basis = basis                  # ascending graded monomials
         self.free_indices = free_indices    # ray indices kept as variables
         self.forms = forms                  # per ray, a linear form in the free variables
         self.groebner = groebner            # reduced basis, monic (lead, tail) pairs
-        self.qvals = qvals
+        self.operators = operators          # per free variable, per column
+        self.qvals = qvals                  # the rational q, or None over Q[q^{+-1}]
         self.degree_cap = max((sum(a) for a, _ in groebner), default=0)
         self.l = len(free_indices)
-        index = {m: r for r, m in enumerate(basis)}
-
-        def column(monomial):
-            # a remainder's monomials are divisible by no lead, so each is standard
-            return {index[m]: c for m, c in self.normal_form({monomial: Fraction(1)}).items()}
-
-        self.operators = tuple(              # per free variable, per column
-            tuple(column(tuple(e + (s == t) for t, e in enumerate(b))) for b in basis)
-            for s in range(self.l)
-        )
 
     @property
     def dim(self):
         return len(self.basis)
 
+    def at(self, qvals):
+        """This model at exact rational q: every coefficient evaluated."""
+        def value(terms):
+            return {k: x for k, c in terms.items() if (x := c.evaluate_exact(qvals))}
+
+        return QuotientModel(
+            self.basis, self.free_indices, tuple(map(value, self.forms)),
+            tuple((lead, value(tail)) for lead, tail in self.groebner),
+            tuple(tuple(map(value, op)) for op in self.operators), qvals)
+
     def reduce_divisor_poly(self, p):
-        """Divisor polynomial -> polynomial in the free variables at fixed q."""
+        """Divisor polynomial -> polynomial in the free variables (at q, if set)."""
         return _eliminate(p, self.forms, self.qvals, self.l)
 
     def normal_form(self, poly):
@@ -284,10 +272,7 @@ class QuotientModel:
 
     def multiplication_entries(self, p):
         """Nonzero entries {(row, col): c} of multiplication by p on the basis."""
-        return self._entries(self.reduce_divisor_poly(p))
-
-    def _entries(self, reduced):  # ``reduced``: a polynomial in the free variables
-        entries = {}
+        reduced, entries = self.reduce_divisor_poly(p), {}
         for col in range(self.dim):
             acc = {}
             for m, c in reduced.items():
@@ -298,13 +283,6 @@ class QuotientModel:
                 add_into(acc, vec.items())
             entries.update(((row, col), c) for row, c in acc.items() if c)
         return entries
-
-    def multiplication_matrix(self, p):
-        """Exact matrix of multiplication by p on the quotient basis."""
-        mat = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for (row, col), c in self.multiplication_entries(p).items():
-            mat[row][col] = c
-        return mat
 
 
 def _apply(operator, vec):
@@ -346,10 +324,10 @@ def _linear_substitution(linear_gens, d):
 
 
 def _eliminate(p, forms, qvals, l):
-    """Divisor polynomial -> plain dict in the l free variables at exact q."""
+    """Divisor polynomial -> plain dict in the l free variables, at q unless None."""
     out = {}
     for m, coeff in p.terms.items():
-        c = coeff.evaluate_exact(qvals)
+        c = coeff if qvals is None else coeff.evaluate_exact(qvals)
         if not c:
             continue
         acc = {(0,) * l: c}
@@ -360,19 +338,21 @@ def _eliminate(p, forms, qvals, l):
     return out
 
 
-def quotient_model(pres, q_rational):
-    """Build the finite-dimensional quotient model at exact rational q.
+@functools.lru_cache(maxsize=64)
+def _laurent_model(pres):
+    """The quotient model over Q[q^{+-1}], kept for the last 64 presentations.
 
-    Certified by the Groebner basis: a constant in it raises EmptyQuotient, a
-    variable without a pure-power leading monomial raises DimensionUnstable.
+    Its linear forms are QLaurent constants.  Certified by the Groebner basis:
+    a constant in it raises EmptyQuotient, a variable without a pure-power
+    leading monomial raises DimensionUnstable.
     """
     free, forms = _linear_substitution(pres.linear_gens, pres.d)
     l = len(free)
-    qvals = q_vector(map(Fraction, q_rational), l)
-    groebner = groebner_basis(_eliminate(g, forms, qvals, l) for g in pres.quantum_gens)
+    forms = tuple({k: QLaurent.constant(c, l) for k, c in f.items()} for f in forms)
+    groebner = groebner_basis(_eliminate(g, forms, None, l) for g in pres.quantum_gens)
     leads = [lead for lead, _ in groebner]
     if leads and not any(leads[0]):  # the ascending basis starts at 1
-        raise EmptyQuotient("quotient ring is zero at this q")
+        raise EmptyQuotient("quotient ring is zero at every q")
     for s in range(l):
         if not any(lead[s] and sum(lead) == lead[s] for lead in leads):
             raise DimensionUnstable("quotient is positive-dimensional: no leading "
@@ -386,17 +366,39 @@ def quotient_model(pres, q_rational):
         standard.add(m)
         frontier.extend(tuple(e + (s == t) for t, e in enumerate(m)) for s in range(l))
     basis = tuple(sorted(standard, key=lambda m: (sum(m), m)))
-    return QuotientModel(basis, free, forms, tuple(groebner), qvals)
+    index, one = {m: r for r, m in enumerate(basis)}, QLaurent.constant(1, l)
+
+    def column(monomial):
+        # a remainder's monomials are divisible by no lead, so each is standard
+        return {index[m]: c for m, c in _remainder({monomial: one}, groebner).items()}
+
+    operators = tuple(tuple(column(tuple(e + (s == t) for t, e in enumerate(b)))
+                            for b in basis) for s in range(l))
+    return QuotientModel(basis, free, forms, tuple(groebner), operators)
 
 
-def _float_stack(model, entry_maps):  # exact {(row, col): c} maps -> (k, dim, dim)
-    import numpy as np
+def quotient_model(pres, q_rational):
+    """The presentation's model over Q[q^{+-1}] (``_laurent_model``) at rational q."""
+    qvals = q_vector(map(Fraction, q_rational), pres.d - len(pres.linear_gens))
+    return _laurent_model(pres).at(qvals)
 
-    mats = np.zeros((len(entry_maps), model.dim, model.dim))
-    for arr, entries in zip(mats, entry_maps):
-        for (row, col), c in entries.items():
-            arr[row, col] = c.numerator / c.denominator  # what float(c) computes
-    return mats
+
+@functools.lru_cache(maxsize=64)
+def _ring_model(data, pres):
+    """verify_isomorphism's q-free work, kept for the last 64 inputs: W,
+    relations_match's pair, the Laurent model, and each D_i's entries and each
+    reduced quantum generator's terms indexing one list of distinct QLaurents.
+    """
+    w, model = superpotential(data), _laurent_model(pres)
+    index = {}
+    slots = [(i, row, col, index.setdefault(c, len(index))) for i in range(pres.d)
+             for (row, col), c in model.multiplication_entries(
+                 DivisorPolynomial.variable(pres.d, i, model.l)).items()]
+    reduced = tuple([(m, index.setdefault(c, len(index))) for m, c in
+                     model.reduce_divisor_poly(g).items()] for g in pres.quantum_gens)
+    return SimpleNamespace(w=w, match=relations_match(data, pres, w), model=model,
+                           slots=tuple(map(list, zip(*slots))), values=tuple(index),
+                           reduced=reduced)
 
 
 def _spectra(mats):  # the sorted eigenvalues of each matrix, from one eigvals call
@@ -407,13 +409,21 @@ def _spectra(mats):  # the sorted eigenvalues of each matrix, from one eigvals c
 
 
 def multiplication_spectrum(model, p):
-    """Eigenvalues (with multiplicity) of multiplication by p on the model."""
-    return _spectra(_float_stack(model, [model.multiplication_entries(p)]))[0]
+    """Eigenvalues (with multiplicity) of multiplication by p on the model at q."""
+    import numpy as np
+
+    mat = np.zeros((1, model.dim, model.dim))
+    for (row, col), c in model.multiplication_entries(p).items():
+        mat[0, row, col] = c.numerator / c.denominator  # what float(c) computes
+    return _spectra(mat)[0]
 
 
-def divisor_matrices(model):
-    """Multiplication by each D_i, its linear form applied exactly, as floats."""
-    return _float_stack(model, [model._entries(form) for form in model.forms])
+@functools.lru_cache(maxsize=64)
+def _unimodular_chart(data):
+    """The first n rays whose matrix has an integer inverse, with that inverse (or None)."""
+    for subset in map(list, combinations(range(data.d), data.n)):
+        if (inv := ila.unimodular_inverse([data.rays[i] for i in subset])) is not None:
+            return subset, inv
 
 
 def _eigenvector_starts(data, mats, q_numeric):
@@ -424,12 +434,9 @@ def _eigenvector_starts(data, mats, q_numeric):
     """
     import numpy as np
 
-    for subset in map(list, combinations(range(data.d), data.n)):
-        inv = ila.unimodular_inverse([data.rays[i] for i in subset])
-        if inv is not None:
-            break
-    else:
+    if (chart := _unimodular_chart(data)) is None:
         return None
+    subset, inv = chart
     vecs = np.linalg.eig(np.tensordot(np.arange(2, data.d + 2) ** -0.5, mats, 1).T)[1] + 0j
     log_c = np.array(data.lambda_exponents, dtype=float)[subset] @ np.log(q_numeric)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -488,72 +495,57 @@ def verify_isomorphism(data, pres, q_numeric, seed=0):
     ``critical_points`` at its fixed Newton settings and the given ``seed``;
     when ``relations_match`` holds both ways, Newton starts first at the common
     eigenvectors of the divisor matrices, one float stack that gives every spectrum.
+    All that does not depend on q is built once per input (``_ring_model``).
     """
-    qfr = [x if isinstance(x, Fraction) else Fraction(str(x)) for x in q_numeric]
+    qfr = q_vector((x if isinstance(x, Fraction) else Fraction(str(x))
+                    for x in q_numeric), data.l)
     qfl = [float(x) for x in qfr]
-    w = superpotential(data)
-    linear_ok, quantum_ok = relations_match(data, pres, w)
+    ring = _ring_model(data, pres)
+    linear_ok, quantum_ok = ring.match
     checks = [CheckResult("linear-generators-map-to-log-derivatives", linear_ok,
                           {"generators": len(pres.linear_gens)})]
 
-    model = quotient_model(pres, qfr)
-    mats = divisor_matrices(model)
+    import numpy as np
+
+    # the D_i at q as one float stack: each distinct entry evaluated once, exactly
+    model, values = ring.model, [c.evaluate_exact(qfr) for c in ring.values]
+    mats = np.zeros((data.d, model.dim, model.dim))
+    *where, which = ring.slots
+    mats[tuple(where)] = np.array([c.numerator / c.denominator for c in values])[which]
     expected = vertex_count_reference(data)
     # matched relations map QH*_q onto Jac(W)_q (z^{v_i} units, rays span Z^n): <= dim roots
     seeds = _eigenvector_starts(data, mats, qfl) if linear_ok and quantum_ok else None
-    cps = critical_points(w, qfl, SolverConfig(expected_count=expected, seed=seed),
+    cps = critical_points(ring.w, qfl, SolverConfig(expected_count=expected, seed=seed),
                           seeds=seeds)
 
     residuals = []
-    for g in pres.quantum_gens:
-        reduced = model.reduce_divisor_poly(g)
+    for reduced in ring.reduced:
+        at_q = [(m, complex(values[k])) for m, k in reduced if values[k]]
         for point_values in cps.monomial_values:
             val = 0 + 0j
-            for m, c in reduced.items():
-                mono = complex(c)
+            for m, mono in at_q:
                 for s, e in enumerate(m):
                     mono *= point_values[model.free_indices[s]] ** e
                 val += mono
             residuals.append(abs(val))
     worst_ideal = max(residuals, default=0.0)
-    checks.append(
-        CheckResult(
-            "quantum-generators-vanish-at-critical-points",
-            quantum_ok and bool(worst_ideal <= IDEAL_TOL),
-            {"max_residual": float(worst_ideal), "tolerance": IDEAL_TOL},
-        )
-    )
-
-    dims_ok = model.dim == len(cps) == expected
-    checks.append(
-        CheckResult(
-            "dimension-equals-critical-point-count",
-            dims_ok,
-            {"dim": model.dim, "points": len(cps), "vertices": expected,
-             "starts": cps.starts, "failed_starts": cps.failed_starts},
-        )
-    )
+    checks.append(CheckResult("quantum-generators-vanish-at-critical-points",
+                              quantum_ok and bool(worst_ideal <= IDEAL_TOL),
+                              {"max_residual": float(worst_ideal), "tolerance": IDEAL_TOL}))
+    checks.append(CheckResult("dimension-equals-critical-point-count",
+                              model.dim == len(cps) == expected,
+                              {"dim": model.dim, "points": len(cps), "vertices": expected,
+                               "starts": cps.starts, "failed_starts": cps.failed_starts}))
 
     spectra = {}
     worst_spectral = 0.0
     for i, eig in enumerate(_spectra(mats)):
         evals = [mv[i] for mv in cps.monomial_values]
-        dist = match_multisets(eig, evals)
-        worst_spectral = max(worst_spectral, dist)
+        worst_spectral = max(worst_spectral, match_multisets(eig, evals))
         spectra[i] = {"eigenvalues": eig, "point_values": sorted(
             evals, key=lambda zc: (zc.real, zc.imag))}
-    checks.append(
-        CheckResult(
-            "multiplication-spectra-match-point-evaluations",
-            bool(worst_spectral <= SPECTRAL_TOL),
-            {"max_distance": float(worst_spectral), "tolerance": SPECTRAL_TOL},
-        )
-    )
-
-    return VerificationReport(
-        checks=checks,
-        dim=model.dim,
-        point_count=len(cps),
-        spectra=spectra,
-        critical_points=cps,
-    )
+    checks.append(CheckResult("multiplication-spectra-match-point-evaluations",
+                              bool(worst_spectral <= SPECTRAL_TOL),
+                              {"max_distance": float(worst_spectral),
+                               "tolerance": SPECTRAL_TOL}))
+    return VerificationReport(checks, model.dim, len(cps), spectra, cps)

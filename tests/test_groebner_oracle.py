@@ -134,3 +134,41 @@ def test_generic_quadrics_match_sympy(seed):
         [_expr(g, xs) for g in gens], *xs, order="grevlex", domain="QQ"
     )
     assert ours == {frozenset(_terms(g, xs).items()) for g in basis.exprs}
+
+
+def _laurent_expr(c, qs):
+    """A QLaurent coefficient as a sympy rational function of q."""
+    return sum(
+        sympy.Rational(x.numerator, x.denominator)
+        * sympy.Mul(*(qa**e for qa, e in zip(qs, m)))
+        for m, x in c.terms.items()
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_laurent_basis_matches_sympy_over_q_fractions(name):
+    # the basis over Q[q^{+-1}] against sympy's reduced basis over Q(q), both
+    # monic, compared coefficient by coefficient as rational functions of q
+    pres, _, _ = CASES[name]
+    model = qr._laurent_model(pres)
+    xs = sympy.symbols(f"x0:{model.l}")
+    qs = sympy.symbols(f"q0:{model.l}")
+    gens = [model.reduce_divisor_poly(g) for g in pres.quantum_gens]
+    exprs = [
+        sum(_laurent_expr(c, qs) * sympy.Mul(*(x**e for x, e in zip(xs, m)))
+            for m, c in g.items())
+        for g in gens if g
+    ]
+    basis = sympy.groebner(exprs, *xs, order="grevlex",
+                           domain=sympy.QQ.frac_field(*qs))
+    ours = {
+        frozenset({lead: sympy.Integer(1),
+                   **{m: sympy.cancel(_laurent_expr(c, qs)) for m, c in tail.items()}
+                   }.items())
+        for lead, tail in model.groebner
+    }
+    theirs = {
+        frozenset((m, sympy.cancel(c)) for m, c in poly.terms())
+        for poly in basis.polys
+    }
+    assert ours == theirs

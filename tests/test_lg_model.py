@@ -384,6 +384,16 @@ def test_seeds_that_miss_fall_back_to_the_draws(monkeypatch, name, far):
         assert counts.details["failed_starts"] >= report.dim
 
 
+def test_draws_are_made_only_when_the_seeds_miss_a_root(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("random starts drawn although the seeds hold every root")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for name in ("P2", "P2xP2", (1, 1, 1)):
+        data, pres = _input(name)
+        assert qr.verify_isomorphism(data, pres, [Fraction(3, 7)] * data.l, seed=4).ok
+
+
 # --- the mirror layer on a hand-built W ---------------------------------------
 
 def test_p1_critical_points_from_a_hand_built_w():

@@ -15,6 +15,7 @@ from toricmirror.disc_algebra import QLaurent, product
 from toricmirror.errors import (
     DimensionUnstable,
     EmptyQuotient,
+    NonUnitLeadingCoefficient,
     NotAProduct,
     WrongParameterCount,
 )
@@ -245,17 +246,11 @@ def test_multiplication_matrices_commute():
         data = data_for(name)
         pres = qr.presentation_for(data)
         model = qr.quotient_model(pres, [Fraction(7, 10), Fraction(2, 10)][: data.l])
-        mats = [
-            np.array(
-                [
-                    [float(v) for v in row]
-                    for row in model.multiplication_matrix(
-                        qr.DivisorPolynomial.variable(data.d, i, data.l)
-                    )
-                ]
-            )
-            for i in range(data.d)
-        ]
+        mats = [np.zeros((model.dim, model.dim)) for _ in range(data.d)]
+        for i, mat in enumerate(mats):
+            cls = qr.DivisorPolynomial.variable(data.d, i, data.l)
+            for (row, col), c in model.multiplication_entries(cls).items():
+                mat[row, col] = float(c)
         for a in range(len(mats)):
             for b in range(a + 1, len(mats)):
                 assert np.max(np.abs(mats[a] @ mats[b] - mats[b] @ mats[a])) <= 1e-8
@@ -312,7 +307,8 @@ def test_divisor_matrices_and_spectra_match_normal_forms(name):
     for i in range(data.d):
         cls = qr.DivisorPolynomial.variable(data.d, i, data.l)
         expected = _normal_form_matrix(model, cls)
-        assert model.multiplication_matrix(cls) == expected
+        assert model.multiplication_entries(cls) == {
+            (row, col): c for row, cs in enumerate(expected) for col, c in enumerate(cs) if c}
         spectrum = qr.multiplication_spectrum(model, cls)
         assert report.spectra[i]["eigenvalues"] == spectrum
         arr = np.array([[float(v) for v in row] for row in expected])
@@ -557,3 +553,111 @@ def test_verify_isomorphism_at_scale(dims, q):
     for m in dims:
         expected *= m + 1
     assert report.dim == report.point_count == expected
+
+
+# --- one ring model over Q[q^{+-1}] per input --------------------------------
+
+# q = 1, a small rational, a decimal as the newton-ladder draws it, and 1e-20
+EVALUATION_QS = (Fraction(1), Fraction(7, 10), Fraction(str(10 ** 1.2345)),
+                 Fraction(1, 10 ** 20))
+
+
+def _standard_monomials(leads, l):
+    """Monomials divisible by no lead, in the basis order (degree, then lex)."""
+    bound = max(map(max, leads)) if leads else 0
+    return tuple(sorted(
+        (m for m in itertools.product(range(bound + 1), repeat=l)
+         if not any(all(a <= b for a, b in zip(lead, m)) for lead in leads)),
+        key=lambda m: (sum(m), m)))
+
+
+@pytest.mark.parametrize(
+    "name", SPECTRUM_INPUTS,
+    ids=lambda x: x if isinstance(x, str) else "x".join(f"P{m}" for m in x),
+)
+def test_laurent_model_at_q_is_the_exact_model_at_q(name):
+    # the Groebner basis of the generators eliminated at exact q, its standard
+    # monomials and its operators equal the Laurent model's evaluated at q
+    data = data_for(name) if name in FIXTURE_NAMES else product_data(name)
+    pres = qr.presentation_for(data)
+    free, forms = qr._linear_substitution(pres.linear_gens, pres.d)
+    ring = qr._ring_model(data, pres)
+    for q0 in EVALUATION_QS:
+        q = tuple(q0 * (k + 1) for k in range(data.l))
+        exact = qr.groebner_basis(
+            [qr._eliminate(g, forms, q, len(free)) for g in pres.quantum_gens])
+        model = qr.quotient_model(pres, q)
+        assert [(lead, tail) for lead, tail in model.groebner] == exact
+        assert model.basis == _standard_monomials([lead for lead, _ in exact], len(free))
+        index = {m: r for r, m in enumerate(model.basis)}
+        for s, operator in enumerate(model.operators):
+            for b, column in zip(model.basis, operator):
+                shifted = tuple(e + (t == s) for t, e in enumerate(b))
+                nf = qr._remainder({shifted: Fraction(1)}, exact)
+                assert column == {index[m]: c for m, c in nf.items()}
+        # verify_isomorphism's residuals sum the terms in the exact order
+        values = [c.evaluate_exact(q) for c in ring.values]
+        for g, reduced in zip(pres.quantum_gens, ring.reduced):
+            at_q = [(m, values[k]) for m, k in reduced if values[k]]
+            assert at_q == list(model.reduce_divisor_poly(g).items())
+
+
+def test_non_unit_leading_coefficient_is_a_named_error():
+    # (1 + q) D3^3 - q: the leading coefficient 1 + q is not a unit of Q[q^{+-1}]
+    data = data_for("P2")
+    pres = qr.presentation_for(data)
+    q = QLaurent.monomial((1,))
+    odd = qr.RingPresentation(
+        d=pres.d,
+        linear_gens=pres.linear_gens,
+        quantum_gens=(dpoly([((0, 0, 3), QLaurent.constant(1, 1) + q), ((0, 0, 0), -q)], 1),),
+        provenance="computed-product",
+    )
+    for _ in range(2):  # a raising build is not kept
+        with pytest.raises(NonUnitLeadingCoefficient, match="not a unit"):
+            qr.quotient_model(odd, [Fraction(1)])
+    with pytest.raises(NonUnitLeadingCoefficient):
+        qr.verify_isomorphism(data, odd, [Fraction(1)])
+
+
+def _cold():
+    qr._laurent_model.cache_clear()
+    qr._ring_model.cache_clear()
+
+
+def test_one_ring_model_serves_every_q(monkeypatch):
+    builds = []
+
+    def counting(gens):
+        builds.append(1)
+        return groebner_basis(gens)
+
+    groebner_basis = qr.groebner_basis
+    monkeypatch.setattr(qr, "groebner_basis", counting)
+    _cold()
+    rays = [r for r in data_for("P1xP2").rays]
+    first, second = tm.build_toric_data(rays), tm.build_toric_data(rays)
+    assert first == second and first is not second
+    pres = [qr.presentation_for(first), qr.presentation_for(second)]
+    assert qr.verify_isomorphism(first, pres[0], [Fraction(1, 3), Fraction(2, 5)]).ok
+    assert qr.verify_isomorphism(second, pres[1], [Fraction(7, 10), Fraction(3)]).ok
+    assert qr.quotient_model(pres[1], [Fraction(1), Fraction(1)]).dim == 6
+    assert len(builds) == 1
+    # a presentation that differs builds its own model
+    spiked = _with_log_derivative_as_quantum_generator(pres[0])
+    assert not qr.verify_isomorphism(first, spiked, [Fraction(7, 10)] * 2).ok
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize(
+    "name", ("P2", "BlP2", (1, 1, 1)),
+    ids=lambda x: x if isinstance(x, str) else "x".join(f"P{m}" for m in x),
+)
+def test_a_report_from_the_kept_model_equals_a_cold_one(name):
+    data = data_for(name) if name in FIXTURE_NAMES else product_data(name)
+    pres = qr.presentation_for(data)
+    q = [Fraction(2, 3) + Fraction(k, 7) for k in range(data.l)]
+    qr.verify_isomorphism(data, pres, [Fraction(1, 9)] * data.l, seed=5)
+    warm = qr.verify_isomorphism(data, pres, q, seed=5)
+    _cold()
+    assert qr.verify_isomorphism(data, pres, q, seed=5) == warm
