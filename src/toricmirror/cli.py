@@ -25,6 +25,7 @@ import json
 import numbers
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import fixtures
@@ -501,8 +502,33 @@ def _write_text(path, text):
         raise ParseError(f"{path}: cannot write: {exc.strerror}") from None
 
 
+def _dumps(value, indent="\n"):
+    """``json.dumps(value, indent=2)`` of a jsonified document, in one recursion.
+
+    Keys must be strings, values strings, ints, bools, None, lists or dicts:
+    anything else raises TypeError, where json would coerce some keys.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        parts = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        parts, brackets = [_dumps(v, inner) for v in value], "[]"
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+    if not parts:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(parts) + indent + brackets[1]
+
+
 def _emit(document, out):
-    text = json.dumps(document, indent=2) + "\n"
+    text = _dumps(document) + "\n"
     if out:
         _write_text(out, text)
     else:

@@ -2,18 +2,16 @@
 
 Every sparse "exponent tuple -> coefficient" map of the package is a
 ``SparseTerms`` subclass sharing one merge (``add_into``) and one
-exponent-adding product (``product``).  The product works on flattened keys,
-a nested coefficient {e: c} at v being the term c at the key v + e, packs
-each flattened key into one ``int`` (mixed radices sized from the operands'
-coordinate ranges, so packed keys add without carries) and multiplies
-integer numerators over one common denominator per factor.  Disc classes
-come from one walk, ``disc_classes``, which extends each class from its
-prefix and so carries its key sum_i k_i rows[i] and its weight
-k_1! ... k_d! forward one coordinate at a time; ``disc_series`` walks with
-identity rows (the key is k itself) and ``exp_superpotential`` with the
-rows [v_i | E_i] (``facet_rows``).  ``to_admissible`` and ``substitute_divisors``
-key arbitrary classes from their nonzero parts (``row_sums``), and all three
-class-indexed builds nest the same way (``nest``).  The maps:
+exponent-adding product (``product``).  One codec (``codec``) packs exponent
+vectors into ``int`` keys, each column a mixed-radix field wide enough for its
+range, so packed keys add without carries (Monagan-Pearce packed exponents).
+Disc classes come from one walk, ``disc_classes``, which extends each class
+from its prefix, carrying its key and its weight k_1! ... k_d! forward:
+``disc_series`` extends tuples and ``exp_superpotential`` adds the packed
+rows [v_i | E_i] (``facet_rows``, ``class_codec``).  ``to_admissible`` and
+``substitute_divisors`` pack any class k as sum_i k_i packed[i] + base.  A
+key stays one ``int`` until ``nest`` splits it into (v, e), unpacking each
+distinct v and e once.  The maps:
 
 * ``QLaurent`` -- Laurent polynomials in the Kahler parameters q_1..q_l with
   rational coefficients; the common coefficient ring.
@@ -61,17 +59,15 @@ def add_into(out, pairs):
 def product(p, q):
     """Exponent-adding product of two plain term dicts.
 
-    A one-term factor shifts the other's keys and scales its coefficients.
-    Otherwise nested coefficients are flattened, ``{v: {e: c}}`` to
-    ``{v + e: c}``, and each side is written as integer numerators over its
-    lcm denominator.  Every flattened key is packed into one ``int``, its
-    coordinates read as digits in mixed radices wide enough for the sum of
-    both operands' coordinate ranges, so adding two packed keys adds the
-    exponent vectors without carries (Monagan-Pearce packed exponents).  The
-    pair loop is one ``int`` add and one numerator multiply-add; every
-    nonzero sum is unpacked once, divided once and nested again.  Both maps
-    hold coefficients of one kind: ``int``/``Fraction``, or ``SparseTerms``
-    over them.
+    A one-term factor shifts the other's keys and scales its coefficients;
+    a factor 1 only shifts, sharing the other's coefficients.  Otherwise
+    nested coefficients are flattened, ``{v: {e: c}}`` to ``{v + e: c}``, and
+    each side is written as integer numerators over its lcm denominator.
+    Flattened keys are packed for the sum of both operands' coordinate
+    ranges, so the pair loop is one ``int`` add and one numerator
+    multiply-add; each distinct nonzero sum is divided once.  Both maps hold
+    coefficients of one kind: ``int``/``Fraction``, or ``SparseTerms`` over
+    them.
     """
     if not p or not q:
         return {}
@@ -79,19 +75,16 @@ def product(p, q):
         p, q = q, p
     if len(p) == 1:
         ((e1, c1),) = p.items()
+        if c1 == 1:
+            return {tuple(map(add, e1, e2)): c2 for e2, c2 in q.items()}
         return {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in q.items()}
     keys_p, nums_p, den_p = _numerators(p)
     keys_q, nums_q, den_q = _numerators(q)
-    fields, weight = [], 1
-    for col_p, col_q in zip(zip(*keys_p), zip(*keys_q)):
-        low_p, low_q = min(col_p), min(col_q)
-        radix = max(col_p) - low_p + max(col_q) - low_q + 1
-        fields.append((weight, radix, low_p + low_q))
-        weight *= radix
+    fields, base = codec((min(a) + min(b), max(a) + max(b))
+                         for a, b in zip(zip(*keys_p), zip(*keys_q)))
     weights = [w for w, _, _ in fields]
-    # q's keys carry the offset, so a packed sum's digits start at 0
-    offset = sum(w * low for w, _, low in fields)
-    packed_q = [(sum(map(mul, k, weights)) - offset, b) for k, b in zip(keys_q, nums_q)]
+    # q's keys carry the base, so a packed sum is nonnegative
+    packed_q = [(sum(map(mul, k, weights)) + base, b) for k, b in zip(keys_q, nums_q)]
     acc = {}
     get = acc.get
     for key, a in zip(keys_p, nums_p):
@@ -99,15 +92,13 @@ def product(p, q):
         for k2, b in packed_q:
             k = k1 + k2
             acc[k] = get(k, 0) + a * b
-    den = den_p * den_q
-    flat = (
-        (tuple([k // w % radix + low for w, radix, low in fields]), Fraction(c, den))
-        for k, c in acc.items() if c
-    )
+    den, divided = den_p * den_q, {}
+    flat = ((k, divided.get(c) or divided.setdefault(c, Fraction(c, den)))
+            for k, c in acc.items() if c)
     inner = next(iter(p.values()))
     if isinstance(inner, SparseTerms):
-        return nest(flat, len(next(iter(p))), type(inner))
-    return dict(flat)
+        return nest(flat, fields, len(next(iter(p))), type(inner))
+    return {unpack(k, fields): c for k, c in flat}
 
 
 def _numerators(terms):
@@ -124,16 +115,39 @@ def _numerators(terms):
     return keys, [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def nest(pairs, m, inner):
-    """Merged nonzero ``(v + e, c)`` pairs -> ``{v: inner({e: c})}``, len(v) = m."""
-    out = {}
+def codec(bounds):
+    """Fields (weight, radix, low) for columns in (low, high) bounds, and the base.
+
+    A key x within the bounds packs to base + sum_j x_j weight_j >= 0.
+    """
+    fields, weight = [], 1
+    for low, high in bounds:
+        fields.append((weight, high - low + 1, low))
+        weight *= high - low + 1
+    return fields, -sum(w * low for w, _, low in fields)
+
+
+def unpack(k, fields):
+    """The exponent tuple of a packed key."""
+    return tuple([k // w % radix + low for w, radix, low in fields])
+
+
+def nest(pairs, fields, m, inner):
+    """Merged nonzero ``(packed v + e, c)`` pairs -> ``{v: inner({e: c})}``, len(v) = m.
+
+    One divmod by the product of v's radices splits a key; each distinct v
+    and e is unpacked once.
+    """
+    split = math.prod(radix for _, radix, _ in fields[:m])
+    tail = [(w // split, radix, low) for w, radix, low in fields[m:]]
+    out, es = {}, {}
     for k, c in pairs:
-        v = k[:m]
+        e, v = divmod(k, split)
         terms = out.get(v)
         if terms is None:
             terms = out[v] = {}
-        terms[k[m:]] = c
-    return {v: inner._wrap(terms) for v, terms in out.items()}
+        terms[es.get(e) or es.setdefault(e, unpack(e, tail))] = c
+    return {unpack(v, fields[:m]): inner._wrap(terms) for v, terms in out.items()}
 
 
 def nonnegative_key(exps):
@@ -332,47 +346,42 @@ def facet_rows(data):
     """Rows [v_i | E_i] of the d x (n + l) matrix [rays | lambda_exponents].
 
     The key of a disc class k, its boundary class sum_i k_i v_i followed by
-    its q-exponents sum_i k_i E_i, is sum_i k_i [v_i | E_i].
+    its q-exponents sum_i k_i E_i, is sum_i k_i [v_i | E_i].  Distinct classes
+    have distinct keys: k = Q c with key 0 has q-exponents c^T Q^T E = c^T.
     """
     return [tuple(v) + tuple(e) for v, e in zip(data.rays, data.lambda_exponents)]
 
 
-def disc_classes(rows, max_total):
-    """(sum_i k_i rows[i], 1/(k_1! ... k_d!)) for k in Z^d_{>=0}, sum k_i <= max_total.
+def class_codec(rows, max_total):
+    """Codec of the keys sum_i k_i rows[i], |k| <= max_total, and the packed rows.
 
-    The classes come in lexicographic order of k.  They are built one
-    coordinate at a time, each class extending its prefix: raising k_i by one
-    adds rows[i] to the key and multiplies the weight by the new k_i.  Equal
-    weights share one Fraction.
+    Column j ranges over max_total * [min(0, min_i rows[i][j]),
+    max(0, max_i rows[i][j])]; a class k packs to sum_i k_i packed[i] + base.
     """
-    level = [((0,) * len(rows[0]), 1, max_total)]
-    for row in rows:
+    fields, base = codec((max_total * min(0, *c), max_total * max(0, *c)) for c in zip(*rows))
+    weights = [w for w, _, _ in fields]
+    return fields, base, [sum(map(mul, row, weights)) for row in rows]
+
+
+def disc_classes(start, steps, max_total):
+    """(key, 1/(k_1! ... k_d!)) for k in Z^d_{>=0}, sum k_i <= max_total.
+
+    The classes come in lexicographic order of k.  Each class extends its
+    prefix: k_i = j adds steps[i][j] to the prefix's key and multiplies its
+    weight by j!.  Equal weights share one Fraction.
+    """
+    level = [(start, 1, max_total)]
+    for step in steps:
         longer = []
         append = longer.append
         for key, weight, left in level:
-            append((key, weight, left))
+            append((key + step[0], weight, left))
             for j in range(1, left + 1):
-                key = tuple(map(add, key, row))
                 weight *= j
-                append((key, weight, left - j))
+                append((key + step[j], weight, left - j))
         level = longer
     inverse = {w: Fraction(1, w) for w in {w for _, w, _ in level}}
     return [(key, inverse[w]) for key, w, _ in level]
-
-
-def row_sums(rows, classes):
-    """sum_i k_i rows[i] for each class k, summed over its nonzero parts only."""
-    multiples = [{} for _ in rows]
-    zero = (0,) * len(rows[0])
-    for k in classes:
-        key = None
-        for i, ki in enumerate(k):
-            if ki:
-                part = multiples[i].get(ki)
-                if part is None:
-                    part = multiples[i][ki] = tuple(ki * x for x in rows[i])
-                key = part if key is None else tuple(map(add, key, part))
-        yield zero if key is None else key
 
 
 def disc_series(data, max_total):
@@ -384,33 +393,28 @@ def disc_series(data, max_total):
     """
     if max_total < 0:
         raise ValueError("truncation order must be nonnegative")
-    identity = [tuple(int(j == i) for j in range(data.d)) for i in range(data.d)]
-    return DiscSeries._wrap(dict(disc_classes(identity, max_total)))
-
-
-def group_classes(pairs, n):
-    """(class key, rational) pairs -> {boundary class: QLaurent}, merged."""
-    return nest(add_into({}, pairs).items(), n, QLaurent)
+    steps = [[(j,) for j in range(max_total + 1)]] * data.d
+    return DiscSeries._wrap(dict(disc_classes((), steps, max_total)))
 
 
 def to_admissible(series, data):
-    """Group disc classes by boundary class, summing exact q-coefficients."""
-    keys = row_sums(facet_rows(data), series.terms)
-    return AdmissibleFunction._wrap(
-        group_classes(zip(keys, series.terms.values()), data.n)
-    )
+    """Group disc classes by boundary class; classes never merge (see facet_rows)."""
+    fields, base, rows = class_codec(facet_rows(data), series.truncation_order)
+    pairs = zip([sum(map(mul, k, rows)) + base for k in series.terms], series.terms.values())
+    return AdmissibleFunction._wrap(nest(pairs, fields, data.n, QLaurent))
 
 
 def q_log_derivative(series, a, data):
     """Apply q_a d/dq_a classwise: multiply class k by its q_a-exponent."""
     if not 0 <= a < data.l:
         raise IndexOutOfRange(f"no Kahler parameter with index {a}")
-    facets = [(i, e[a]) for i, e in enumerate(data.lambda_exponents) if e[a]]
-    out = {}
+    column = [e[a] for e in data.lambda_exponents]
+    out, scaled = {}, {}
     for k, c in series.terms.items():
-        weight = sum(k[i] * e for i, e in facets)
+        weight = sum(map(mul, k, column))
         if weight:
-            out[k] = c * weight
+            key = (c.numerator, c.denominator, weight)
+            out[k] = scaled.get(key) or scaled.setdefault(key, c * weight)
     return DiscSeries._wrap(out)
 
 

@@ -30,20 +30,12 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import add, sub
+from operator import add, mul, sub
 from types import SimpleNamespace
 
 from . import _intlinalg as ila
-from .disc_algebra import (
-    QLaurent,
-    SparseTerms,
-    add_into,
-    facet_rows,
-    group_classes,
-    nonnegative_key,
-    product,
-    row_sums,
-)
+from .disc_algebra import (QLaurent, SparseTerms, add_into, class_codec, facet_rows, nest,
+                           nonnegative_key, product)
 from .errors import (DimensionUnstable, EmptyQuotient, NonUnitLeadingCoefficient,
                      NotAProduct)
 from .fixtures import fixture
@@ -134,11 +126,18 @@ def presentation_for(data, factorization=None):
 
 def substitute_divisors(p, data):
     """Image of a divisor polynomial under D_i -> e^{lambda_i} z^{v_i}."""
+    # a term q^e D^m keys as m [v | E] + [0 | e]: a class of total |m| + 1
+    # over the rows [v_i | E_i] and [0 | e]
     pad = (0,) * data.n
+    es = list({e for c in p.terms.values() for e in c.terms})
+    fields, base, rows = class_codec(facet_rows(data) + [pad + e for e in es],
+                                     max(map(sum, p.terms), default=0) + 1)
+    shift = dict(zip(es, rows[data.d:]))
     pairs = []
-    for key, coeff in zip(row_sums(facet_rows(data), p.terms), p.terms.values()):
-        pairs.extend((tuple(map(add, key, pad + e)), c) for e, c in coeff.terms.items())
-    return ZLaurent._wrap(group_classes(pairs, data.n))
+    for m, coeff in p.terms.items():
+        key = sum(map(mul, m, rows)) + base
+        pairs.extend((key + shift[e], c) for e, c in coeff.terms.items())
+    return ZLaurent._wrap(nest(add_into({}, pairs).items(), fields, data.n, QLaurent))
 
 
 def relations_match(data, pres, w):

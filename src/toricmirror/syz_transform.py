@@ -11,13 +11,8 @@ is in the truncated identity checked by ``exp_superpotential``.
 
 from __future__ import annotations
 
-from .disc_algebra import (
-    AdmissibleFunction,
-    SparseTerms,
-    disc_classes,
-    facet_rows,
-    group_classes,
-)
+from .disc_algebra import (AdmissibleFunction, QLaurent, SparseTerms, class_codec,
+                           disc_classes, facet_rows, nest)
 
 
 class ZLaurent(SparseTerms):
@@ -54,11 +49,15 @@ def exp_superpotential(data, max_total):
     """Truncated exponential of the superpotential, with exact coefficients.
 
     Sums prod_i (e^{lambda_i} z^{v_i})^{k_i} / (k_1! ... k_d!) over all disc
-    classes of total degree at most ``max_total``, merging equal
-    (z-monomial, q-monomial) pairs.  Distinct classes never merge -- the class
-    is recoverable from the pair -- so this equals the transform of the
-    disc-count series truncated at the same order, term for term.
+    classes of total degree at most ``max_total``.  The walk adds the packed
+    rows [v_i | E_i], so a class's key stays one ``int`` until ``nest``, and
+    the classes' weights share one Fraction each.  Distinct classes never
+    merge -- the class is recoverable from its (z-monomial, q-monomial) pair
+    -- so this equals the transform of the disc-count series truncated at the
+    same order, term for term.
     """
     if max_total < 0:
         raise ValueError("truncation order must be nonnegative")
-    return ZLaurent._wrap(group_classes(disc_classes(facet_rows(data), max_total), data.n))
+    fields, base, rows = class_codec(facet_rows(data), max_total)
+    steps = [[j * row for j in range(max_total + 1)] for row in rows]
+    return ZLaurent._wrap(nest(disc_classes(base, steps, max_total), fields, data.n, QLaurent))

@@ -10,7 +10,7 @@ import pytest
 
 from toricmirror import cli
 from toricmirror.disc_algebra import QLaurent
-from toricmirror.errors import ParseError, UnknownFixture
+from toricmirror.errors import ParseError, ToricMirrorError, UnknownFixture
 from toricmirror.fixtures import fixture
 from toricmirror.syz_transform import exp_superpotential
 
@@ -218,6 +218,47 @@ def test_report_is_pinned(command, name, monkeypatch):
     code, out, _ = run_cli([command, name])
     assert code == (1 if (command, name) == ("tropical", "BlP2") else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[command, name]
+
+
+def report_document(argv):
+    """The document ``main`` writes for argv, the error document included."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        return cli.run(args)
+    except ToricMirrorError as exc:
+        return cli._error_document(args, exc)
+
+
+@pytest.mark.parametrize("name", sorted(VERTICES_DIGESTS))
+def test_json_writer_matches_json_dumps(name, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    argvs = [[command, name] for command in cli.COMMANDS] + [
+        ["verify-iso", name, "--q", "1/2", "--seed", "3"],
+        ["phi", name, "--kmax", "-1"],
+        ["vertices", name, "--q", "2"],
+        ["tropical", name, "--xi", "1/2,x"],
+        ["info", name + "-caf\u00e9\U0001d54f.json"],
+    ]
+    docs = [report_document(argv) for argv in argvs]
+    for doc in docs:
+        assert cli._dumps(doc) == json.dumps(doc, indent=2)
+    # the last four argvs are always errors, the non-ASCII message included
+    assert all("error" in doc for doc in docs[-4:])
+
+
+@pytest.mark.parametrize("doc", [{1: "a"}, {"a": {None: 1}}, {True: 1}, {"a": [1.5]},
+                                 {"a": Fraction(1, 2)}, {"a": {"b"}}])
+def test_json_writer_rejects_what_reports_never_hold(doc):
+    # json.dumps would coerce the keys and write the float
+    with pytest.raises(TypeError):
+        cli._dumps(doc)
+
+
+def test_json_writer_forms():
+    doc = {"s": "\"q\"\n\u00e9", "t": True, "f": False, "n": None, "i": -12, "e": [], "d": {},
+           "l": [[], {}, [1, [2]], {"k": ()}], "x": (1, "2")}
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+    assert cli._dumps([]) == "[]" and cli._dumps({}) == "{}" and cli._dumps(7) == "7"
 
 
 @pytest.mark.parametrize("name", ("P2", "P1xP1", "BlP2"))

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -169,19 +170,22 @@ def brute_force_classes(d, max_total):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_class_walk_matches_brute_force(d):
     rng = random.Random(f"walk-{d}")
-    identity = [tuple(int(j == i) for j in range(d)) for i in range(d)]
     rows = [tuple(rng.randint(-3, 3) for _ in range(5)) for _ in range(d)]
+    identity = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    # any rays with identity facet monomials: the key is (sum_i k_i rows[i] | k)
+    walked = SimpleNamespace(d=d, n=5, rays=rows, lambda_exponents=identity)
     for order in range(6):
         want = brute_force_classes(d, order)
-        # identity rows: the key is the class itself, in the same order
-        assert da.disc_classes(identity, order) == want
-        # any rows: the key is sum_i k_i rows[i], the weight unchanged
-        keyed = [
-            (tuple(sum(k[i] * row[j] for i, row in enumerate(rows)) for j in range(5)), c)
-            for k, c in want
-        ]
-        assert da.disc_classes(rows, order) == keyed
-        assert list(da.row_sums(rows, [k for k, _ in want])) == [key for key, _ in keyed]
+        # the disc series: every class, in lexicographic order, with its weight
+        assert list(tm.disc_series(SimpleNamespace(d=d), order).terms.items()) == want
+        # exp(W): the same walk and weights, keyed by sum_i k_i [rows[i] | e_i] and
+        # nested by boundary class in order of first appearance
+        nested = {}
+        for k, c in want:
+            v = tuple(sum(k[i] * row[j] for i, row in enumerate(rows)) for j in range(5))
+            nested.setdefault(v, []).append((k, c))
+        got = st.exp_superpotential(walked, order).terms
+        assert [(v, list(c.terms.items())) for v, c in got.items()] == list(nested.items())
 
 
 def old_boundary_class(data, k):
@@ -251,3 +255,111 @@ def test_substituted_quantum_relation_cancels_to_empty():
     data = data_for("P2")
     (g,) = qr.presentation_for(data).quantum_gens
     assert qr.substitute_divisors(g, data).terms == {}
+
+
+# --- the codec on inputs that stress its ranges -----------------------------
+
+def with_basis_change(name):
+    """The fixture with kernel basis Q U and facet monomials E U^-T, U = [[1, 2], [0, 1]]."""
+    data = data_for(name)
+    u, u_inv_t = ((1, 2), (0, 1)), ((1, 0), (-2, 1))
+    kbasis = [[sum(data.kbasis[b][i] * u[b][a] for b in range(2)) for i in range(data.d)]
+              for a in range(2)]
+    exps = [[sum(e[b] * u_inv_t[b][a] for b in range(2)) for a in range(2)]
+            for e in data.lambda_exponents]
+    return tm.build_toric_data(data.rays, lambda_exponents=exps, kbasis=kbasis)
+
+
+def sheared(name, t):
+    """The fixture's rays under the shear (x, y, ...) -> (x, y + t x, ...)."""
+    rays = [(v[0], v[1] + t * v[0], *v[2:]) for v in data_for(name).rays]
+    return tm.build_toric_data(rays)
+
+
+STRESS = {
+    "BlP2-basis-change": lambda: with_basis_change("BlP2"),
+    "P1xP2-basis-change": lambda: with_basis_change("P1xP2"),
+    "P2-shear": lambda: sheared("P2", 3),
+    "P2-shear-large": lambda: sheared("P2", 1000),
+    "BlP2-shear-large": lambda: sheared("BlP2", -999),
+}
+
+
+def old_q_log_derivative(series, a, data):
+    out = {k: c * sum(k[i] * data.lambda_exponents[i][a] for i in range(data.d))
+           for k, c in series.terms.items()}
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("name", sorted(STRESS))
+def test_codec_on_stressed_ranges(name):
+    data = STRESS[name]()
+    if "basis" in name:
+        assert min(map(min, data.lambda_exponents)) < 0
+    for order in (0, 1, 2, 5):
+        series = tm.disc_series(data, order)
+        derivatives = [tm.q_log_derivative(series, a, data) for a in range(data.l)]
+        for a, lhs in enumerate(derivatives):
+            assert lhs.terms == old_q_log_derivative(series, a, data)
+        # series with gaps: a restriction and log derivatives, and the empty series
+        gapped = [series.restrict(order - 1), *derivatives, tm.DiscSeries()]
+        for s in (series, *gapped):
+            assert tm.to_admissible(s, data).terms == old_to_admissible(s, data)
+        assert st.exp_superpotential(data, order).terms == old_to_admissible(series, data)
+        adm = tm.to_admissible(series, data)
+        if order <= 2:
+            assert da.product(adm.terms, adm.terms) == reference_product(adm.terms, adm.terms)
+    assert tm.to_admissible(tm.DiscSeries(), data).terms == {}
+    rng = random.Random(f"stress-{name}")
+    for _ in range(20):
+        p = tm.DivisorPolynomial({
+            tuple(rng.randint(0, 3) for _ in range(data.d)): random_qlaurent(rng, data.l)
+            for _ in range(rng.randint(0, 5))
+        })
+        assert qr.substitute_divisors(p, data).terms == old_substitute_divisors(p, data)
+
+
+# --- no per-class Fraction or tuple building ---------------------------------
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_to_admissible_keeps_the_series_coefficients(name):
+    data = data_for(name)
+    series = tm.disc_series(data, 6)
+    adm = tm.to_admissible(series, data)
+    for k, c in series.terms.items():
+        v, e = old_boundary_class(data, k), old_q_exponents(data, k)
+        assert adm.terms[v].terms[e] is c
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_exp_superpotential_shares_one_fraction_per_weight(name):
+    data = data_for(name)
+    coeffs = [c for f in st.exp_superpotential(data, 7).terms.values() for c in f.terms.values()]
+    assert len({id(c) for c in coeffs}) == len(set(coeffs))
+
+
+def test_one_term_product_by_one_shares_coefficients():
+    q = {(0, 1): Fraction(2, 3), (1, 0): Fraction(-5, 7), (2, 2): Fraction(1, 11)}
+    for one in (1, Fraction(1)):
+        for got in (da.product({(1, 1): one}, q), da.product(q, {(1, 1): one})):
+            assert got == {(1, 2): Fraction(2, 3), (2, 1): Fraction(-5, 7), (3, 3): Fraction(1, 11)}
+            assert [id(c) for c in got.values()] == [id(c) for c in q.values()]
+    # the log-derivative convolution under the normalized facet choice
+    data = data_for("BlP2")
+    series = tm.disc_series(data, 6)
+    rhs = da.log_derivative_convolution(series, 0, data)
+    assert [id(c) for c in rhs.terms.values()] == [id(c) for c in series.terms.values()]
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["plain", "nested"])
+def test_product_shares_one_fraction_per_value(nested):
+    # BlP2's q_2 sits on two facets, so its convolution takes the general path
+    data = data_for("BlP2")
+    series = tm.disc_series(data, 8)
+    if nested:
+        adm = tm.to_admissible(series.restrict(4), data)
+        coeffs = [c for f in (adm * adm.scale(Fraction(2, 3))).terms.values()
+                  for c in f.terms.values()]
+    else:
+        coeffs = list(da.log_derivative_convolution(series, 1, data).terms.values())
+    assert len({id(c) for c in coeffs}) == len(set(coeffs)) < len(coeffs)
