@@ -4,10 +4,10 @@ Integer matrices (lists of row lists of Python ints) get one unimodular
 column (Hermite) reduction, ``column_echelon``, behind kernel bases and the
 surjectivity test, and one fraction-free (Bareiss) Gauss-Jordan reduction,
 ``cramer``, which gives a square block's determinant and its adjugate times
-the augmented block in plain ints.  Rational systems get one Fraction
-reduced-row-echelon routine, ``rref``, behind inverse and unimodular
-inverse.  Every matrix here is desk scale (dimensions at most ~12), so
-clarity beats asymptotics.
+the augmented block in plain ints, and so also the unimodular inverse.
+Rational systems get one Fraction reduced-row-echelon routine, ``rref``,
+behind ``inverse`` and quantum_ring's linear substitution.  Every matrix
+here is desk scale (dimensions at most ~12), so clarity beats asymptotics.
 """
 
 from fractions import Fraction

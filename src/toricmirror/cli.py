@@ -5,9 +5,12 @@ Reports are machine-first JSON with the fixed top-level schema
 written to stdout (or ``--out``); a human-readable summary goes to stderr.
 The exit status is 0 exactly when every executed check passes.  Operational
 errors produce ``{command, input, parameters, error: {type, message}}`` and a
-nonzero exit.  Floating values are serialized with 17 significant digits so
-reports are byte-identical for identical requests and seeds.  Every JSON
-shape of a report is written here (``_q_rows``, ``_flat_rows`` and inline).
+nonzero exit.  Every JSON shape of a report is written here (``_q_rows``,
+``_flat_rows`` and inline), from the handlers' raw values: Fractions, floats,
+complex numbers and tuples go as they are to one writer, ``_dumps``, which
+converts each value once as it writes the report's bytes.  Rationals become
+exact strings and floats strings of 17 significant digits, so reports are
+byte-identical for identical requests and seeds.
 
 The command set is one table, ``COMMANDS``, read by ``build_parser`` and
 ``run``; a report's ``parameters`` are whichever of a row's options are set.
@@ -46,44 +49,14 @@ from .toric_core import (
 )
 
 
-def _fmt_float(x):
-    return format(float(x), ".17g")
-
-
-def jsonify(value):
-    """Deterministic JSON form: exact strings for rationals and floats.
-
-    Numbers are told apart by the ``numbers`` ABCs, which numpy's scalar
-    types register with, so this module does not import numpy.  Containers
-    and the built-in types are tested first because an ABC check costs
-    several plain ones, and reports hold tens of thousands of values.
-    """
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, dict):
-        return {str(k): jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonify(v) for v in value]
-    if isinstance(value, (int, numbers.Integral)):
-        return int(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (float, numbers.Real)):
-        return _fmt_float(value)
-    if isinstance(value, (complex, numbers.Complex)):
-        return {"re": _fmt_float(value.real), "im": _fmt_float(value.imag)}
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def _q_rows(c):
     """JSON rows of a QLaurent, sorted by q-exponents."""
-    return [{"q_exponents": list(e), "coefficient": str(x)}
-            for e, x in sorted(c.terms.items())]
+    return [{"q_exponents": e, "coefficient": x} for e, x in sorted(c.terms.items())]
 
 
 def _flat_rows(f, key_name):
     """One JSON row per (key, q-exponents) pair of a QLaurent-valued map."""
-    return [{key_name: list(k), **row}
+    return [{key_name: k, **row}
             for k, c in sorted(f.terms.items()) for row in _q_rows(c)]
 
 
@@ -203,16 +176,14 @@ def _cmd_info(data, args):
         "n": data.n,
         "d": data.d,
         "l": data.l,
-        "rays": [list(v) for v in data.rays],
-        "kbasis_columns": [list(c) for c in data.kbasis],
-        "facet_q_exponents": [list(e) for e in data.lambda_exponents],
+        "rays": data.rays,
+        "kbasis_columns": data.kbasis,
+        "facet_q_exponents": data.lambda_exponents,
         "product_factors": (
             None
             if factorization is None
-            else [
-                {"coords": list(b.coords), "ray_indices": list(b.ray_indices)}
-                for b in factorization.factors
-            ]
+            else [{"coords": b.coords, "ray_indices": b.ray_indices}
+                  for b in factorization.factors]
         ),
     }
     return [_check("input-valid", True, details)], []
@@ -235,8 +206,8 @@ def _cmd_vertices(data, args):
         ) from None
     details = {
         "count": len(verts),
-        "vertices": [[str(c) for c in v] for v in verts],
-        "lambda": list(lam),
+        "vertices": verts,
+        "lambda": lam,
     }
     return [_check("polytope-vertices", True, details)], []
 
@@ -256,10 +227,9 @@ def _cmd_phi(data, args):
     details = {
         "series": {
             "truncation_order": series.truncation_order,
-            "classes": [{"k": list(k), "coefficient": str(c)}
-                        for k, c in sorted(series.terms.items())],
+            "classes": [{"k": k, "coefficient": c} for k, c in sorted(series.terms.items())],
         },
-        "admissible": [{"boundary_class": list(v), "coefficient": _q_rows(c)}
+        "admissible": [{"boundary_class": v, "coefficient": _q_rows(c)}
                        for v, c in sorted(adm.terms.items())],
     }
     return [_check("disc-series", True, details)], []
@@ -328,10 +298,10 @@ def _cmd_critical_points(data, args):
     details = {
         "q": q,
         "expected_count": expected,
-        "points": [list(z) for z in cps.points],
-        "values": list(cps.values),
-        "residuals": list(cps.residuals),
-        "monomial_values": [list(mv) for mv in cps.monomial_values],
+        "points": cps.points,
+        "values": cps.values,
+        "residuals": cps.residuals,
+        "monomial_values": cps.monomial_values,
         "failed_starts": cps.failed_starts,
     }
     return [
@@ -412,9 +382,9 @@ def _cmd_tropical(data, args):
                 True,
                 {
                     "count": 1,
-                    "xi": [str(c) for c in xi],
-                    "edges": [list(e) for e in curve.edges],
-                    "degree": list(tropical.curve_degree(curve, data)),
+                    "xi": xi,
+                    "edges": curve.edges,
+                    "degree": tropical.curve_degree(curve, data),
                 },
             )
         )
@@ -464,14 +434,14 @@ def _parameters(args):
 
 
 def run(args):
-    """Execute one request and return the report document."""
+    """Execute one request and return the report document of raw values."""
     data = load_input(args.input)
     checks, artifacts = COMMANDS[args.command][0](data, args)
     return {
         "command": args.command,
         "input": args.input,
-        "parameters": jsonify(_parameters(args)),
-        "checks": jsonify(checks),
+        "parameters": _parameters(args),
+        "checks": checks,
         "artifacts": artifacts,
     }
 
@@ -502,11 +472,20 @@ def _write_text(path, text):
         raise ParseError(f"{path}: cannot write: {exc.strerror}") from None
 
 
-def _dumps(value, indent="\n"):
-    """``json.dumps(value, indent=2)`` of a jsonified document, in one recursion.
+def _real(x):
+    return f'"{float(x):.17g}"'
 
-    Keys must be strings, values strings, ints, bools, None, lists or dicts:
-    anything else raises TypeError, where json would coerce some keys.
+
+def _dumps(value, indent="\n"):
+    """``json.dumps(value, indent=2)`` of a report's raw values, in one recursion.
+
+    Values are converted as they are written: a Fraction becomes its str, a
+    float its 17-significant-digit string, a complex number {"re", "im"} of
+    those, and every dict key its str.  Numbers are told apart by the
+    ``numbers`` ABCs, which numpy's scalar types register with, so this module
+    does not import numpy; the built-in types are tested first because an ABC
+    check costs several plain ones.  Anything else (a set, numpy's bool)
+    raises TypeError.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -516,12 +495,21 @@ def _dumps(value, indent="\n"):
         return int.__repr__(value)
     inner = indent + "  "
     if isinstance(value, dict):
-        parts = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in value.items()]
+        parts = [f"{encode_basestring_ascii(str(k))}: {_dumps(v, inner)}"
+                 for k, v in value.items()]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
         parts, brackets = [_dumps(v, inner) for v in value], "[]"
+    elif isinstance(value, Fraction):
+        return f'"{value}"'
+    elif isinstance(value, numbers.Integral):
+        return int.__repr__(int(value))
+    elif isinstance(value, (float, numbers.Real)):
+        return _real(value)
+    elif isinstance(value, (complex, numbers.Complex)):
+        return f'{{{inner}"re": {_real(value.real)},{inner}"im": {_real(value.imag)}{indent}}}'
     else:
-        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+        raise TypeError(f"cannot serialize {type(value).__name__}")
     if not parts:
         return brackets
     return brackets[0] + inner + ("," + inner).join(parts) + indent + brackets[1]
@@ -547,7 +535,7 @@ def _error_document(args, exc):
     return {
         "command": args.command,
         "input": getattr(args, "input", None),
-        "parameters": jsonify(_parameters(args)),
+        "parameters": _parameters(args),
         "error": {"type": type(exc).__name__, "message": str(exc)},
     }
 

@@ -385,8 +385,9 @@ def quotient_model(pres, q_rational):
 @functools.lru_cache(maxsize=64)
 def _ring_model(data, pres):
     """verify_isomorphism's q-free work, kept for the last 64 inputs: W,
-    relations_match's pair, the Laurent model, and each D_i's entries and each
-    reduced quantum generator's terms indexing one list of distinct QLaurents.
+    relations_match's pair, the expected point count, the unimodular chart, the
+    Laurent model, and each D_i's entries and each reduced quantum generator's
+    terms indexing one list of distinct QLaurents.
     """
     w, model = superpotential(data), _laurent_model(pres)
     index = {}
@@ -396,6 +397,7 @@ def _ring_model(data, pres):
     reduced = tuple([(m, index.setdefault(c, len(index))) for m, c in
                      model.reduce_divisor_poly(g).items()] for g in pres.quantum_gens)
     return SimpleNamespace(w=w, match=relations_match(data, pres, w), model=model,
+                           expected=vertex_count_reference(data), chart=_unimodular_chart(data),
                            slots=tuple(map(list, zip(*slots))), values=tuple(index),
                            reduced=reduced)
 
@@ -417,7 +419,6 @@ def multiplication_spectrum(model, p):
     return _spectra(mat)[0]
 
 
-@functools.lru_cache(maxsize=64)
 def _unimodular_chart(data):
     """The first n rays whose matrix has an integer inverse, with that inverse (or None)."""
     for subset in map(list, combinations(range(data.d), data.n)):
@@ -425,16 +426,14 @@ def _unimodular_chart(data):
             return subset, inv
 
 
-def _eigenvector_starts(data, mats, q_numeric):
+def _eigenvector_starts(data, chart, mats, q_numeric):
     """Log-coordinate Newton starts, one per left eigenvector v of sum_i w_i D_i.
 
     v holds the basis monomials' values at a point and basis[0] = 1, so term i
-    is t_i = (D_i 1).v / v[0]; u solves through n rays with an integer inverse.
+    is t_i = (D_i 1).v / v[0]; u solves through the chart (``_unimodular_chart``).
     """
     import numpy as np
 
-    if (chart := _unimodular_chart(data)) is None:
-        return None
     subset, inv = chart
     vecs = np.linalg.eig(np.tensordot(np.arange(2, data.d + 2) ** -0.5, mats, 1).T)[1] + 0j
     log_c = np.array(data.lambda_exponents, dtype=float)[subset] @ np.log(q_numeric)
@@ -511,9 +510,10 @@ def verify_isomorphism(data, pres, q_numeric, seed=0):
     mats = np.zeros((data.d, model.dim, model.dim))
     *where, which = ring.slots
     mats[tuple(where)] = np.array([c.numerator / c.denominator for c in values])[which]
-    expected = vertex_count_reference(data)
+    expected = ring.expected
     # matched relations map QH*_q onto Jac(W)_q (z^{v_i} units, rays span Z^n): <= dim roots
-    seeds = _eigenvector_starts(data, mats, qfl) if linear_ok and quantum_ok else None
+    seeds = (_eigenvector_starts(data, ring.chart, mats, qfl)
+             if linear_ok and quantum_ok and ring.chart else None)
     cps = critical_points(ring.w, qfl, SolverConfig(expected_count=expected, seed=seed),
                           seeds=seeds)
 

@@ -17,7 +17,6 @@ facet monomials alone, so ``info`` and ``tropical`` need no other layer.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -298,13 +297,8 @@ def polytope_vertices(data, lam):
     return tuple(sorted(vertices))
 
 
-@functools.lru_cache(maxsize=64)
 def vertex_count_reference(data):
-    """Vertex count of the reference polytope (invariant choice of lambda).
-
-    It is a function of the (frozen, hashable) input alone, so the counts of
-    the last 64 inputs are kept.
-    """
+    """Vertex count of the reference polytope (invariant choice of lambda)."""
     return len(polytope_vertices(data, reference_lambda(data)))
 
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import numbers
 from fractions import Fraction
 from pathlib import Path
 
@@ -88,12 +89,13 @@ def test_superpotential_terms():
 
 def test_qlaurent_json_is_sorted():
     p = QLaurent({(2,): Fraction(1, 8), (0,): 1, (1,): 1})
-    assert [e["q_exponents"] for e in cli._q_rows(p)] == [[0], [1], [2]]
+    rows = json.loads(cli._dumps(cli._q_rows(p)))
+    assert [e["q_exponents"] for e in rows] == [[0], [1], [2]]
 
 
 def test_zlaurent_json_shape():
     data = fixture("P2")
-    entries = cli._flat_rows(exp_superpotential(data, 1), "z_exponents")
+    entries = json.loads(cli._dumps(cli._flat_rows(exp_superpotential(data, 1), "z_exponents")))
     assert all(
         set(e) == {"z_exponents", "q_exponents", "coefficient"} for e in entries
     )
@@ -229,6 +231,26 @@ def report_document(argv):
         return cli._error_document(args, exc)
 
 
+def jsonified(value):
+    """A report value as plain JSON data: the writer's conversions, spelled out as an oracle."""
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        return {str(k): jsonified(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonified(v) for v in value]
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, numbers.Real):
+        return format(float(value), ".17g")
+    if isinstance(value, numbers.Complex):
+        return {"re": format(float(value.real), ".17g"),
+                "im": format(float(value.imag), ".17g")}
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
 @pytest.mark.parametrize("name", sorted(VERTICES_DIGESTS))
 def test_json_writer_matches_json_dumps(name, monkeypatch):
     monkeypatch.chdir(ROOT)
@@ -241,16 +263,15 @@ def test_json_writer_matches_json_dumps(name, monkeypatch):
     ]
     docs = [report_document(argv) for argv in argvs]
     for doc in docs:
-        assert cli._dumps(doc) == json.dumps(doc, indent=2)
+        assert cli._dumps(doc) == json.dumps(jsonified(doc), indent=2)
     # the last four argvs are always errors, the non-ASCII message included
     assert all("error" in doc for doc in docs[-4:])
 
 
-@pytest.mark.parametrize("doc", [{1: "a"}, {"a": {None: 1}}, {True: 1}, {"a": [1.5]},
-                                 {"a": Fraction(1, 2)}, {"a": {"b"}}])
+@pytest.mark.parametrize("doc", [{"a": {"b"}}, {"a": object()}, {"a": [np.bool_(True)]},
+                                 {"a": b"b"}, {"a": np.array([1.5])}, {"a": [frozenset()]}])
 def test_json_writer_rejects_what_reports_never_hold(doc):
-    # json.dumps would coerce the keys and write the float
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="cannot serialize"):
         cli._dumps(doc)
 
 
@@ -761,12 +782,13 @@ NUMPY_SCALARS = [
 @pytest.mark.parametrize("value,expected", NUMPY_SCALARS,
                          ids=[type(v).__name__ for v, _ in NUMPY_SCALARS])
 def test_jsonify_numpy_scalars(value, expected):
-    assert json.dumps(cli.jsonify(value)) == expected
+    # the writer converts numpy's scalars as their built-in counterparts
+    assert cli._dumps(value) == json.dumps(json.loads(expected), indent=2)
 
 
 def test_jsonify_rejects_numpy_bool():
     with pytest.raises(TypeError, match="cannot serialize bool"):
-        cli.jsonify(np.bool_(True))
+        cli._dumps(np.bool_(True))
 
 
 def test_cli_verify_iso_largest_fixture():

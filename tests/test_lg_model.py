@@ -372,7 +372,7 @@ def test_seeds_that_miss_fall_back_to_the_draws(monkeypatch, name, far):
     seeded = qr.verify_isomorphism(data, pres, q, seed=2)
     fill = 40.0 if far else np.nan
     monkeypatch.setattr(qr, "_eigenvector_starts",
-                        lambda data, mats, q: np.full((seeded.dim, data.n), fill + 0j))
+                        lambda data, chart, mats, q: np.full((seeded.dim, data.n), fill + 0j))
     report = qr.verify_isomorphism(data, pres, q, seed=2)
     assert report.ok
     assert _same_roots(seeded.critical_points.monomial_values,

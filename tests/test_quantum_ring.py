@@ -626,14 +626,22 @@ def _cold():
 
 
 def test_one_ring_model_serves_every_q(monkeypatch):
-    builds = []
+    # equal but distinct inputs at two q: one Groebner basis, one vertex
+    # enumeration for the expected count and one chart search
+    calls = []
 
-    def counting(gens):
-        builds.append(1)
-        return groebner_basis(gens)
+    def counting(module, name):
+        callee = getattr(module, name)
 
-    groebner_basis = qr.groebner_basis
-    monkeypatch.setattr(qr, "groebner_basis", counting)
+        def counted(*args):
+            calls.append(name)
+            return callee(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(qr, "groebner_basis")
+    counting(tm.toric_core, "polytope_vertices")
+    counting(qr, "_unimodular_chart")
     _cold()
     rays = [r for r in data_for("P1xP2").rays]
     first, second = tm.build_toric_data(rays), tm.build_toric_data(rays)
@@ -642,11 +650,11 @@ def test_one_ring_model_serves_every_q(monkeypatch):
     assert qr.verify_isomorphism(first, pres[0], [Fraction(1, 3), Fraction(2, 5)]).ok
     assert qr.verify_isomorphism(second, pres[1], [Fraction(7, 10), Fraction(3)]).ok
     assert qr.quotient_model(pres[1], [Fraction(1), Fraction(1)]).dim == 6
-    assert len(builds) == 1
+    assert sorted(calls) == ["_unimodular_chart", "groebner_basis", "polytope_vertices"]
     # a presentation that differs builds its own model
     spiked = _with_log_derivative_as_quantum_generator(pres[0])
     assert not qr.verify_isomorphism(first, spiked, [Fraction(7, 10)] * 2).ok
-    assert len(builds) == 2
+    assert calls.count("groebner_basis") == 2
 
 
 @pytest.mark.parametrize(
