@@ -17,7 +17,6 @@ _HOMES = {
     "toric_core": (
         "ToricFanoData",
         "build_toric_data",
-        "disc_area",
         "kernel_basis",
         "lambda_from_q",
         "polytope_vertices",

@@ -302,6 +302,7 @@ def _cmd_critical_points(data, args):
         "values": cps.values,
         "residuals": cps.residuals,
         "monomial_values": cps.monomial_values,
+        "starts": cps.starts,
         "failed_starts": cps.failed_starts,
     }
     return [

@@ -39,10 +39,6 @@ class DegeneratePolytope(ToricMirrorError):
     """The facet inequalities cut out a region with empty interior."""
 
 
-class PointOutsidePolytope(ToricMirrorError):
-    """A base point does not lie in the open polytope interior."""
-
-
 class IndexOutOfRange(ToricMirrorError):
     """A ray or parameter index is out of range."""
 

@@ -15,7 +15,9 @@ root.  A start converges when each |z_j dW/dz_j| is below ``TOL`` = 1e-12
 times min(1, sum_i |v_ij| |t_i|), the size of that equation's own terms
 t_i, so a root means the same at every scale of q.  A caller that has proved
 W has at most k roots may pass k seed starts; they run first, and the
-random starts are drawn and run only when the seeds miss a root.
+random starts are drawn and run only when the seeds miss a root.  The random
+starts come from one seeded stdlib stream (``random.Random(seed)``, one
+``randbytes`` call), so no command loads numpy.random.
 
 Only the float code (``critical_points`` and its helpers) imports numpy, so
 the exact commands that build W or its log derivatives never load it.
@@ -149,6 +151,22 @@ def _newton(rays, coeffs, u):
     return done
 
 
+def _random_starts(seed, count, n):
+    """``count`` x n log-coordinate starts, Re u in [-3, 3) and Im u in [0, 2*pi).
+
+    One seeded stdlib stream gives all 2 * count * n values from one
+    ``randbytes`` call: each 64-bit word keeps its top 53 bits, k / 2**53, the
+    uniforms ``random.random()`` makes.  numpy.random is never loaded.
+    """
+    import random
+
+    import numpy as np
+
+    words = np.frombuffer(random.Random(seed).randbytes(16 * count * n), dtype="<u8")
+    re, im = ((words >> 11) * 2.0 ** -53).reshape(2, count, n)
+    return (6.0 * re - 3.0) + 1j * (2 * np.pi * im)
+
+
 def critical_points(w: ZLaurent, q_numeric, config: SolverConfig, seeds=None):
     """Multistart Newton search for all roots of z_j dW/dz_j = 0.
 
@@ -169,9 +187,7 @@ def critical_points(w: ZLaurent, q_numeric, config: SolverConfig, seeds=None):
         if batch is None:  # the random starts, drawn only when they run
             if seeds is not None and len(roots) == len(seeds):
                 break
-            rng = np.random.default_rng(config.seed)
-            shape = (config.start_count(), n)
-            batch = rng.uniform(-3.0, 3.0, shape) + 1j * rng.uniform(0.0, 2 * np.pi, shape)
+            batch = _random_starts(config.seed, config.start_count(), n)
         ran += len(batch)
         converged = batch[_newton(rays, coeffs, batch)]
         failed += len(batch) - len(converged)

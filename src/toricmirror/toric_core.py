@@ -1,4 +1,4 @@
-"""Lattice, polytope and disc-area layer shared by the rest of the package.
+"""Lattice and polytope layer shared by the rest of the package.
 
 A toric Fano input is a list of primitive integer rays spanning Z^n together
 with facet constants lambda_1..lambda_d.  The facet constants are carried in
@@ -28,11 +28,9 @@ from .errors import (
     BasisNotKernel,
     DegeneratePolytope,
     InconsistentLambda,
-    IndexOutOfRange,
     MixedRayDimensions,
     NonPrimitiveRay,
     NonSpanningRays,
-    PointOutsidePolytope,
     RepeatedRay,
     UnboundedPolytope,
     WrongParameterCount,
@@ -365,24 +363,3 @@ def product_structure(data):
             FactorBlock(coords=coords, ray_indices=ray_indices, q_exponents=qexp)
         )
     return Factorization(tuple(factors))
-
-
-def disc_area(data, x, i, lam):
-    """Area 2*pi*(<x, v_i> - lambda_i) of the basic disc meeting facet i.
-
-    The base point x must lie strictly inside the polytope.
-    """
-    if not 0 <= i < data.d:
-        raise IndexOutOfRange(f"no facet with index {i}")
-    lam = [float(v) for v in lam]
-    pairings = [
-        sum(float(x[j]) * data.rays[k][j] for j in range(data.n))
-        for k in range(data.d)
-    ]
-    for k in range(data.d):
-        if pairings[k] <= lam[k]:
-            raise PointOutsidePolytope(
-                f"point lies on or beyond facet {k}: <x,v> = {pairings[k]}, "
-                f"lambda = {lam[k]}"
-            )
-    return 2.0 * math.pi * (pairings[i] - lam[i])

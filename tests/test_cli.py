@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import numbers
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,9 +16,11 @@ from toricmirror.errors import ParseError, ToricMirrorError, UnknownFixture
 from toricmirror.fixtures import fixture
 from toricmirror.syz_transform import exp_superpotential
 
-from helpers import PRODUCT_NAMES
+from helpers import FIXTURE_NAMES, PRODUCT_NAMES
 
 ROOT = Path(__file__).resolve().parents[1]
+# a fresh interpreter finds the package in src without an install
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 def run_cli(argv):
@@ -297,6 +300,8 @@ def test_critical_points_report():
     details = report["checks"][0]["details"]
     assert details["expected_count"] == 3
     assert len(details["points"]) == 3
+    # every one of the 50 starts per expected point ran, as one batch
+    assert details["starts"] == 50 * details["expected_count"]
     # floats travel as fixed-width strings
     assert isinstance(details["points"][0][0]["re"], str)
 
@@ -385,7 +390,7 @@ def test_verify_iso_finds_the_far_blowup_root_only_from_the_model():
     assert json.loads(out)["error"] == {
         "type": "IncompleteRootSet",
         "message": "found 3 distinct critical points, expected 4 "
-                   "(1 of 200 starts failed to converge)",
+                   "(0 of 200 starts failed to converge)",
     }
 
 
@@ -689,8 +694,8 @@ def test_subprocess_reports_are_byte_identical():
 
     cmd = [sys.executable, "-m", "toricmirror", "verify-iso", "P2", "--q", "1",
            "--seed", "0"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=SUBPROCESS_ENV)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=SUBPROCESS_ENV)
     assert first.stdout == second.stdout
 
 
@@ -717,8 +722,41 @@ def test_exact_commands_leave_module_out(module):
         print({module!r} in sys.modules)
     """)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, env=SUBPROCESS_ENV)
     assert out.stdout.strip() == "False"
+
+
+def test_float_commands_leave_numpy_random_out():
+    # Newton's random starts come from a stdlib stream: no float command, and
+    # not verify-iso's fallback draw when the eigenvector seeds miss, loads it
+    import subprocess
+    import sys
+    import textwrap
+
+    code = textwrap.dedent(f"""
+        import contextlib, io, json, sys
+        from fractions import Fraction
+        from toricmirror import cli, quantum_ring as qr
+        from toricmirror.fixtures import fixture
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            for command in ("critical-points", "verify-iso"):
+                for name in {FIXTURE_NAMES + (str(BLP2_RAYS),)!r}:
+                    cli.main([command, name])
+            cli.main(["critical-points", "BlP2", "--q", "1,1e-4"])
+        loaded = "numpy" in sys.modules
+        import numpy as np
+        qr._eigenvector_starts = lambda data, chart, mats, q: np.full((3, 2), np.nan + 0j)
+        data = fixture("P2")
+        report = qr.verify_isomorphism(data, qr.presentation_for(data), [Fraction(7, 10)])
+        counts = {{c.name: c.details for c in report.checks}}
+        print(json.dumps([report.ok, counts["dimension-equals-critical-point-count"]["starts"],
+                          "numpy.random" in sys.modules, loaded]))
+    """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=SUBPROCESS_ENV)
+    # the three nan seeds ran and missed, then the 150 random starts
+    assert json.loads(out.stdout) == [True, 3 + 150, False, True]
 
 
 BASE_LAYERS = {"toricmirror", "toricmirror.cli", "toricmirror.toric_core",
@@ -747,7 +785,7 @@ def _loaded_package_modules(code):
     code += ("\nimport json\nprint(json.dumps("
              "[m for m in sys.modules if m.split('.')[0] == 'toricmirror']))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, env=SUBPROCESS_ENV)
     return set(json.loads(out.stdout))
 
 

@@ -224,6 +224,17 @@ def test_solver_deterministic_for_fixed_seed():
     assert multiset_distance(list(a.values), list(c.values)) < 1e-9
 
 
+def test_random_starts_fill_the_box_from_the_seed():
+    starts = lg_model._random_starts(5, 300, 4)
+    assert starts.shape == (300, 4) and starts.dtype == complex
+    assert np.all((-3 <= starts.real) & (starts.real < 3))
+    assert np.all((0 <= starts.imag) & (starts.imag < 2 * np.pi))
+    # both halves of the box are reached in every coordinate
+    assert np.all(np.ptp(starts.real, axis=0) > 5) and np.all(np.ptp(starts.imag, axis=0) > 5)
+    assert np.array_equal(starts, lg_model._random_starts(5, 300, 4))
+    assert not np.array_equal(starts, lg_model._random_starts(6, 300, 4))
+
+
 def test_near_collision_warns_degenerate_spectrum(monkeypatch):
     data = data_for("P2")
     w = tm.superpotential(data)
@@ -385,10 +396,10 @@ def test_seeds_that_miss_fall_back_to_the_draws(monkeypatch, name, far):
 
 
 def test_draws_are_made_only_when_the_seeds_miss_a_root(monkeypatch):
-    def no_draws(seed):
+    def no_draws(seed, count, n):
         raise AssertionError("random starts drawn although the seeds hold every root")
 
-    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(lg_model, "_random_starts", no_draws)
     for name in ("P2", "P2xP2", (1, 1, 1)):
         data, pres = _input(name)
         assert qr.verify_isomorphism(data, pres, [Fraction(3, 7)] * data.l, seed=4).ok

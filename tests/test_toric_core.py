@@ -13,7 +13,6 @@ from toricmirror.errors import (
     MixedRayDimensions,
     NonPrimitiveRay,
     NonSpanningRays,
-    PointOutsidePolytope,
     RepeatedRay,
     ToricMirrorError,
     UnboundedPolytope,
@@ -21,7 +20,6 @@ from toricmirror.errors import (
 )
 from toricmirror.toric_core import (
     build_toric_data,
-    disc_area,
     kernel_basis,
     lambda_from_q,
     polytope_vertices,
@@ -360,38 +358,6 @@ def test_reference_vertex_counts_at_scale(dims, count):
     data = product_data(dims)
     assert len(_reference_vertices(data, reference_lambda(data))) == count
     assert vertex_count_reference(data) == count
-
-
-# --- disc areas --------------------------------------------------------------
-
-def test_disc_area_plane_values():
-    data = data_for("P2")
-    lam = [0.0, 0.0, -1.0]
-    assert disc_area(data, (0.25, 0.25), 0, lam) == pytest.approx(math.pi / 2)
-    assert disc_area(data, (0.25, 0.25), 2, lam) == pytest.approx(math.pi)
-
-
-def test_disc_area_rejects_boundary_and_exterior():
-    data = data_for("P2")
-    lam = [0.0, 0.0, -1.0]
-    with pytest.raises(PointOutsidePolytope):
-        disc_area(data, (0.0, 0.25), 0, lam)  # on facet 0
-    with pytest.raises(PointOutsidePolytope):
-        disc_area(data, (2.0, 2.0), 0, lam)
-
-
-def test_disc_area_positive_and_linear():
-    rng = random.Random(5)
-    data = data_for("P1xP1")
-    lam = [0.0, -1.0, 0.0, -1.0]
-    for _ in range(20):
-        x = (rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99))
-        y = (rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99))
-        mid = tuple((a + b) / 2 for a, b in zip(x, y))
-        for i in range(data.d):
-            ax, ay = disc_area(data, x, i, lam), disc_area(data, y, i, lam)
-            assert ax > 0 and ay > 0
-            assert disc_area(data, mid, i, lam) == pytest.approx((ax + ay) / 2)
 
 
 def test_no_unit_block_demands_explicit_monomials():
